@@ -70,7 +70,7 @@ from .membership import (
     MembershipError,
     MembershipView,
 )
-from .objectview import Delta, Digest, ExchangeStats, ObjectView
+from .objectview import Delta, Digest, ObjectView
 from .scheduler import DataflowScheduler, Placement
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "Delta",
     "Digest",
     "EXTERNAL",
-    "ExchangeStats",
     "FixpointSim",
     "GossipConfig",
     "GossipCoordinator",

@@ -1,32 +1,45 @@
 """Epidemic anti-entropy over :class:`~repro.dist.objectview.ObjectView`s.
 
 The paper's inventory handshake (4.2.2) keeps placement beliefs fresh,
-but running it all-pairs is O(n^2) handshakes with each one re-shipping
-full state.  This module runs it *epidemically* instead: every round,
-each view push-pulls a digest+delta exchange with ``fanout`` random
-peers, so new beliefs double their audience roughly every round and the
-whole group converges in O(log n) rounds shipping O(delta) bytes per
-handshake - the Dynamo/Ray-style gossip the ROADMAP called for.
+but run all-pairs it is O(n^2) handshakes, each re-shipping full state.
+Here every round each view push-pulls a digest+delta handshake with
+``fanout`` random peers, so news doubles its audience roughly every
+round and the group converges in O(log n) rounds shipping O(delta)
+bytes per handshake.  Rounds are seeded: the same seed replays the same
+peer schedule, which keeps convergence assertions deterministic.
 
-:class:`GossipCoordinator` is the round driver both consumers use:
+**One handshake, two drivers.**  The handshake is a sans-I/O core of
+four steps, each a function of an :class:`ObjectView`, an optional
+:class:`~repro.dist.membership.MembershipView` and one in-memory
+message: :func:`syn` makes a :class:`Syn` (digest, members),
+:func:`answer` an :class:`Ack` (digest, delta, members), :func:`close`
+a :class:`Push` (delta), and :func:`absorb` applies the push.
+:class:`GossipCoordinator` - the simulated platform's and the
+benchmarks' driver - passes the messages in-process;
+:class:`~repro.fixpoint.net.FixpointNode` packs them into its
+SYN/ACK/PUSH frames.  When to beat and when to restamp a node's own
+holdings stays with each driver.  The ordering rules live here only:
 
-* the simulated platform (:class:`~repro.dist.engine.FixpointSim` with a
-  :class:`GossipConfig`) gossips machine views plus the scheduler's view
-  between outputs, so scheduler beliefs age realistically instead of
-  snapshotting ground truth;
-* the benchmarks/tests drive it directly to measure convergence rounds,
-  bytes per round, and the staleness-induced redundant transfers a
-  stale belief regime pays.
+1. *Liveness merges before inventory, on both sides.*  A tombstone
+   evicts ahead of the stale entries it shadows, and a rejoin lifts
+   the eviction gate ahead of the returning node's fresh entries;
+   inventory-first would drop those entries while the version caps
+   advanced past them, losing them for good.
+2. *The caller computes its PUSH delta before merging the ACK's
+   members.*  If the ACK brings home the caller's own tombstone, the
+   merge refutes it (incarnation bump, epoch restamp), and the
+   restamped entries must not ride a members-free PUSH into a peer
+   that still believes the caller dead.  They go out next round,
+   behind the SYN that carries the refutation.  (The ACK carries the
+   server's post-merge members, so its refutations arrive first.)
+3. *One view's lock at a time, never two*, so concurrent handshakes
+   in either direction cannot deadlock.
 
-Everything is seeded: the same seed replays the identical schedule of
-peer choices round by round, which is what makes convergence-rounds
-assertions deterministic.
-
-The module also carries the real wire codec for digests and deltas
-(:func:`pack_digest` / :func:`pack_delta` and their unpack twins) used
-by the executing runtime's GOSSIP frames in :mod:`repro.fixpoint.net` -
-the byte *accounting* in ``Digest.wire_bytes``/``Delta.wire_bytes``
-mirrors exactly this encoding.
+The digest and delta wire codec (:func:`pack_digest`, :func:`pack_delta`
+and their unpack twins) is what the net driver's frames carry;
+``Digest.wire_bytes``/``Delta.wire_bytes`` account for exactly this
+encoding, and truncated input raises :class:`GossipError` naming the
+offset.
 """
 
 from __future__ import annotations
@@ -34,11 +47,11 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.errors import FixError
 from ..obs import NULL_OBS, Obs
-from .membership import MembershipView
+from .membership import Member, MembershipView, members_wire_bytes
 from .objectview import Delta, Digest, EMPTY_DIGEST, Entry, ObjectView
 
 _COUNT = struct.Struct("<I")
@@ -59,6 +72,16 @@ class GossipError(FixError):
 # Wire codec (shared with repro.fixpoint.net's GOSSIP frames)
 
 
+def _truncated(raw: bytes, offset: int, detail: object) -> GossipError:
+    where = f"offset {offset} of {len(raw)}"
+    return GossipError(f"truncated gossip frame at {where}: {detail}")
+
+
+# Unpackers slice variable-length fields unchecked: a slice cut short by
+# the frame's end is always followed by a struct read or the size-flag
+# check, which fails before anything is decoded or stored.
+
+
 def pack_digest(digest: Digest) -> bytes:
     parts = [_COUNT.pack(len(digest.versions))]
     for origin in sorted(digest.versions):
@@ -68,17 +91,19 @@ def pack_digest(digest: Digest) -> bytes:
 
 
 def unpack_digest(raw: bytes, offset: int = 0) -> Tuple[Digest, int]:
-    (count,) = _COUNT.unpack_from(raw, offset)
-    offset += _COUNT.size
     versions: Dict[str, int] = {}
-    for _ in range(count):
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        origin = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        (version,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        versions[origin] = version
+    try:
+        (count,) = _COUNT.unpack_from(raw, offset)
+        offset += _COUNT.size
+        for _ in range(count):
+            (length,) = _LEN.unpack_from(raw, offset)
+            origin = raw[offset + _LEN.size : offset + _LEN.size + length]
+            offset += _LEN.size + length
+            (version,) = _U64.unpack_from(raw, offset)
+            offset += _U64.size
+            versions[origin.decode("utf-8")] = version
+    except struct.error as exc:
+        raise _truncated(raw, offset, exc) from None
     return Digest(versions), offset
 
 
@@ -94,17 +119,11 @@ def _pack_name(name) -> bytes:
     )
 
 
-def _unpack_name(raw: bytes, offset: int):
-    tag = raw[offset : offset + 1]
-    offset += 1
-    (length,) = _LEN.unpack_from(raw, offset)
-    offset += _LEN.size
-    body = raw[offset : offset + length]
-    offset += length
+def _unpack_name(tag: bytes, body: bytes):
     if tag == _NAME_BYTES:
-        return bytes(body), offset
+        return body
     if tag == _NAME_STR:
-        return body.decode("utf-8"), offset
+        return body.decode("utf-8")
     raise GossipError(f"bad name tag byte {tag!r} in gossip delta")
 
 
@@ -125,31 +144,94 @@ def pack_delta(delta: Delta) -> bytes:
 
 def unpack_delta(raw: bytes, offset: int = 0) -> Tuple[Delta, int]:
     caps, offset = unpack_digest(raw, offset)
-    (count,) = _COUNT.unpack_from(raw, offset)
-    offset += _COUNT.size
     entries: List[Entry] = []
-    for _ in range(count):
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        origin = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        (version,) = _U64.unpack_from(raw, offset)
-        offset += _U64.size
-        name, offset = _unpack_name(raw, offset)
-        (length,) = _LEN.unpack_from(raw, offset)
-        offset += _LEN.size
-        location = raw[offset : offset + length].decode("utf-8")
-        offset += length
-        flag = raw[offset : offset + 1]
-        offset += 1
-        size: Optional[int] = None
-        if flag == _HAS_SIZE:
-            (size,) = _U64.unpack_from(raw, offset)
-            offset += _U64.size
-        elif flag != _NO_SIZE:
-            raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
-        entries.append((origin, version, name, location, size))
+    try:
+        (count,) = _COUNT.unpack_from(raw, offset)
+        offset += _COUNT.size
+        for _ in range(count):
+            (length,) = _LEN.unpack_from(raw, offset)
+            offset += _LEN.size + length
+            origin = raw[offset - length : offset]
+            (version,) = _U64.unpack_from(raw, offset)
+            tag = raw[offset + _U64.size : offset + _U64.size + 1]
+            offset += _U64.size + 1
+            (length,) = _LEN.unpack_from(raw, offset)
+            offset += _LEN.size + length
+            name = raw[offset - length : offset]
+            (length,) = _LEN.unpack_from(raw, offset)
+            offset += _LEN.size + length
+            location = raw[offset - length : offset]
+            flag = raw[offset : offset + 1]
+            offset += 1
+            size: Optional[int] = None
+            if flag == _HAS_SIZE:
+                (size,) = _U64.unpack_from(raw, offset)
+                offset += _U64.size
+            elif flag != _NO_SIZE:
+                if not flag:
+                    raise _truncated(raw, offset - 1, "size flag")
+                raise GossipError(f"bad size flag byte {flag!r} in gossip delta")
+            name = _unpack_name(tag, name)
+            entries.append(
+                (origin.decode("utf-8"), version, name, location.decode("utf-8"), size)
+            )
+    except struct.error as exc:
+        raise _truncated(raw, offset, exc) from None
     return Delta(tuple(entries), dict(caps.versions)), offset
+
+
+# ----------------------------------------------------------------------
+# The handshake core (its ordering rules are in the module docstring)
+
+
+@dataclass(frozen=True)
+class Syn:
+    digest: Digest
+    members: Tuple[Member, ...] = ()
+
+
+@dataclass(frozen=True)
+class Ack:
+    digest: Digest
+    delta: Delta  # what the caller lacks
+    members: Tuple[Member, ...] = ()  # after merging the caller's
+
+
+@dataclass(frozen=True)
+class Push:
+    delta: Delta  # what the server lacks
+
+
+def syn(view: ObjectView, membership: Optional[MembershipView] = None) -> Syn:
+    """Caller, step 1."""
+    return Syn(view.digest(), membership.members() if membership is not None else ())
+
+
+def answer(view: ObjectView, membership: Optional[MembershipView],
+           message: Syn, full_state: bool = False) -> Ack:
+    """Server, step 2.  ``full_state`` is the ablation: the caller's
+    digest is treated as empty, so the delta is the whole view."""
+    members: Tuple[Member, ...] = ()
+    if membership is not None:
+        membership.merge(message.members)
+        members = membership.members()
+    delta = view.delta_since(EMPTY_DIGEST if full_state else message.digest)
+    return Ack(view.digest(), delta, members)
+
+
+def close(view: ObjectView, membership: Optional[MembershipView],
+          message: Ack, full_state: bool = False) -> Push:
+    """Caller, step 3 (``full_state`` as in :func:`answer`)."""
+    delta = view.delta_since(EMPTY_DIGEST if full_state else message.digest)
+    if membership is not None:
+        membership.merge(message.members)
+    view.merge_delta(message.delta)
+    return Push(delta)
+
+
+def absorb(view: ObjectView, message: Push) -> int:
+    """Server, step 4; returns the entries applied."""
+    return view.merge_delta(message.delta)
 
 
 # ----------------------------------------------------------------------
@@ -162,16 +244,11 @@ class GossipConfig:
 
     ``startup_rounds`` run when a graph's initial placements register;
     ``rounds_per_output`` run each time an output materializes - the
-    aging knob: 0 means the scheduler only ever knows what it saw at
-    startup, higher values keep beliefs fresher at more gossip traffic.
-
-    ``membership=True`` turns on the liveness side: every participant
-    keeps a :class:`~repro.dist.membership.MembershipView` that beats,
-    piggybacks on each round's exchanges, and confirms unresponsive
-    nodes dead after ``suspect_after`` + ``confirm_after`` observed
-    rounds - at which point their holdings are evicted from that
-    participant's :class:`ObjectView` and the platform's schedulers
-    stop placing on them.
+    aging knob: 0 freezes the scheduler's beliefs at startup, more keeps
+    them fresher at more traffic.  ``membership=True`` gives every
+    participant a failure detector that confirms silent nodes dead after
+    ``suspect_after`` + ``confirm_after`` observed rounds, evicting their
+    holdings from its view and taking them out of placement.
     """
 
     fanout: int = 1
@@ -192,8 +269,7 @@ class RoundStats:
     digest_bytes: int
     delta_bytes: int
     entries_shipped: int
-    #: Liveness piggyback bytes (0 when membership is off): each
-    #: handshake also swapped both sides' membership maps.
+    #: The SYN's and ACK's membership maps (0 with membership off).
     membership_bytes: int = 0
 
     @property
@@ -204,17 +280,14 @@ class RoundStats:
 class GossipCoordinator:
     """Seeded random-peer anti-entropy rounds over a set of views.
 
-    One round: every participating view (in registration order)
-    initiates a push-pull exchange with ``fanout`` uniformly random
-    other participants.  With the digest/delta protocol each handshake
-    ships only what the peer lacks; ``full_state=True`` is the ablation
-    that re-ships both full states every handshake (what the old
-    ``exchange`` did), kept measurable so the benchmark can price the
-    difference.
+    One round: every participating view (in registration order) runs
+    the handshake core, in-process, with ``fanout`` uniformly random
+    other participants.  ``full_state=True`` is the ablation that treats
+    every peer's digest as empty, re-shipping both full states each
+    handshake, kept so the benchmark can price the difference.
 
     The coordinator is a driver, not a lock: views guard themselves, so
-    rounds may run concurrently with live traffic mutating the views
-    (the executing runtime's stress test does exactly that).
+    rounds may run concurrently with live traffic mutating the views.
     """
 
     def __init__(
@@ -235,26 +308,19 @@ class GossipCoordinator:
         self.full_state = full_state
         self.rng = random.Random(seed)
         self.rounds: List[RoundStats] = []
-        #: Ground-truth dead set (:meth:`kill`): these views stop
-        #: participating, and the *survivors'* failure detectors notice
-        #: the silence - nothing here tells them directly.
+        #: Ground-truth dead set (:meth:`kill`): survivors' detectors
+        #: must notice the silence; nothing here tells them.
         self._dead: Set[str] = set()
-        #: Liveness: one failure detector per participant, piggybacked
-        #: on every exchange.  Each detector's tombstones evict the dead
-        #: node's holdings from its *own* paired ObjectView - beliefs
-        #: die per-observer, epidemically, like they spread.
+        #: One failure detector per participant; its tombstones evict
+        #: from its *own* view - beliefs die per-observer, epidemically.
         self._suspect_after = suspect_after
         self._confirm_after = confirm_after
         self._membership: Dict[str, MembershipView] = {}
-        #: node -> current incarnation, so :meth:`restart` knows what
-        #: the survivors' tombstone says and can outrank it by one.
-        self._incarnations: Dict[str, int] = {}
         if membership:
             for view in self._views:
                 self._enroll(view)
-        #: NULL_OBS by default; the simulated platform passes its
-        #: sim-clocked obs so round/byte counters land in the same
-        #: export as the scheduler's (and stay replay-deterministic).
+        #: The simulated platform passes its sim-clocked obs, so these
+        #: counters land in the scheduler's (replayable) export.
         self.obs = obs
         self._m_rounds = obs.registry.counter(
             "gossip_coordinator_rounds_total", "Epidemic rounds driven"
@@ -277,10 +343,6 @@ class GossipCoordinator:
                      32.0, 48.0, 64.0),
         )
 
-    @property
-    def views(self) -> Sequence[ObjectView]:
-        return tuple(self._views)
-
     def add_view(self, view: ObjectView) -> None:
         """Late joiners participate from the next round on."""
         self._views.append(view)
@@ -300,7 +362,6 @@ class GossipCoordinator:
             on_refute=view.advance_epoch,
             incarnation=incarnation,
         )
-        self._incarnations[view.node] = incarnation
 
     @property
     def membership_enabled(self) -> bool:
@@ -311,39 +372,31 @@ class GossipCoordinator:
         return self._membership[node]
 
     def kill(self, node: str) -> None:
-        """Ground truth: ``node`` crashes *now*.
-
-        Its view stops initiating and being chosen, and its heartbeat
-        stops advancing - survivors' detectors must notice the silence
-        through suspect -> confirm, gossip the tombstone, and evict.
-        The rounds-to-no-dead-placement gap is exactly what
-        ``bench_churn.py`` measures.
-        """
+        """Ground truth: ``node`` crashes *now*: it stops gossiping and
+        beating, and survivors must detect, spread the tombstone, and
+        evict (the gap ``bench_churn.py`` measures)."""
         self._dead.add(node)
 
     def restart(self, node: str, clock=None) -> ObjectView:
-        """The killed ``node`` comes back, one incarnation up.
+        """The killed ``node`` reboots, one incarnation up.
 
-        Models a machine reboot: the old view and detector are gone
-        (state did not survive the crash), and a *fresh* ObjectView is
-        minted at ``epoch = incarnation + 1`` alongside a fresh
-        MembershipView asserting ``ALIVE`` at that incarnation - which
-        outranks every survivor's tombstone in the lattice, so ordinary
-        gossip readmits the node (``on_rejoin`` lifts each survivor's
-        eviction gate) and its fresh-origin beliefs merge while replays
-        of its pre-death gossip still apply 0 entries.  Returns the
-        fresh view so the experiment can seed its holdings.
+        State did not survive the crash: a fresh ObjectView at ``epoch =
+        incarnation + 1`` and a fresh detector asserting ``ALIVE`` at
+        that incarnation, which outranks every survivor's tombstone - so
+        ordinary gossip readmits the node and merges its fresh-origin
+        beliefs, while replays of its first life still apply 0 entries.
+        Returns the fresh view so the experiment can seed its holdings.
         """
         if node not in self._dead:
-            raise GossipError(
-                f"cannot restart {node!r}: it was never killed"
-            )
+            raise GossipError(f"cannot restart {node!r}: it was never killed")
         index = next(
             (i for i, v in enumerate(self._views) if v.node == node), None
         )
         if index is None:
             raise GossipError(f"cannot restart unknown node {node!r}")
-        incarnation = self._incarnations.get(node, 1) + 1
+        # One past the dead view's epoch, which tracks its incarnation
+        # through any refutations it made before it died.
+        incarnation = self._views[index].epoch + 1
         fresh = ObjectView(node, clock=clock, epoch=incarnation)
         self._views[index] = fresh
         self._dead.discard(node)
@@ -363,7 +416,7 @@ class GossipCoordinator:
         """Which survivors believe ``node`` alive *at its current
         incarnation* - i.e. have merged the rejoin, not merely never
         heard of the death."""
-        current = self._incarnations.get(node, 1)
+        current = self._membership[node].incarnation() if self._membership else 1
         return {
             observer
             for observer, membership in self._membership.items()
@@ -375,22 +428,6 @@ class GossipCoordinator:
 
     # ------------------------------------------------------------------
 
-    def _exchange(self, view: ObjectView, peer: ObjectView):
-        if not self.full_state:
-            return view.exchange(peer)
-        # Ablation: both directions ship everything, no digests first.
-        mine = view.delta_since(EMPTY_DIGEST)
-        theirs = peer.delta_since(EMPTY_DIGEST)
-        peer.merge_delta(mine)
-        view.merge_delta(theirs)
-        from .objectview import ExchangeStats
-
-        return ExchangeStats(
-            digest_bytes=0,
-            delta_bytes=mine.wire_bytes() + theirs.wire_bytes(),
-            entries_shipped=len(mine) + len(theirs),
-        )
-
     def round(self, participants: Optional[Set[str]] = None) -> RoundStats:
         """Run one gossip round; returns its accounting.
 
@@ -399,17 +436,13 @@ class GossipCoordinator:
         how much worse its placements price.
         """
         active = [
-            v
-            for v in self._views
+            v for v in self._views
             if (participants is None or v.node in participants)
             and v.node not in self._dead
         ]
-        if self._membership:
-            # Heartbeats advance once per round a node participates in -
-            # stamped like inventory versions, so the freshest beat wins
-            # any merge.  A killed node's counter simply stops.
-            for view in active:
-                self._membership[view.node].beat()
+        detectors = [self._membership[v.node] for v in active if self._membership]
+        for detector in detectors:  # a killed node's heartbeat just stops
+            detector.beat()
         pairs: List[Tuple[str, str]] = []
         digest_bytes = delta_bytes = entries = membership_bytes = 0
         for view in active:
@@ -417,43 +450,27 @@ class GossipCoordinator:
             if not peers:
                 continue
             chosen = self.rng.sample(peers, min(self.fanout, len(peers)))
+            mine = self._membership.get(view.node)
             for peer in chosen:
-                if self._membership:
-                    # The liveness piggyback: both maps ride the same
-                    # handshake (in fixpoint.net they ride the SYN/ACK
-                    # frames), merged with the same join algebra.
-                    # Liveness merges *before* inventory, so a
-                    # tombstone evicts ahead of the stale entries it
-                    # shadows and - the rejoin mirror - a readmission
-                    # lifts the eviction gate ahead of the returning
-                    # node's fresh entries.  Inventory-first would drop
-                    # those entries *and* advance the caps past them,
-                    # losing them for good.
-                    mine = self._membership[view.node]
-                    theirs = self._membership[peer.node]
-                    membership_bytes += mine.wire_bytes()
-                    membership_bytes += theirs.wire_bytes()
-                    members_out = mine.members()
-                    mine.merge(theirs.members())
-                    theirs.merge(members_out)
-                stats = self._exchange(view, peer)
+                theirs = self._membership.get(peer.node)
+                hello = syn(view, mine)
+                ack = answer(peer, theirs, hello, self.full_state)
+                push = close(view, mine, ack, self.full_state)
+                absorb(peer, push)
                 pairs.append((view.node, peer.node))
-                digest_bytes += stats.digest_bytes
-                delta_bytes += stats.delta_bytes
-                entries += stats.entries_shipped
-        if self._membership:
-            # One observed round per participant: age records, run the
-            # suspect -> confirm detector.  Confirmations fire on_dead,
-            # which evicts the dead node from the paired ObjectView.
-            for view in active:
-                self._membership[view.node].tick()
+                if not self.full_state:  # the ablation ships no digests
+                    digest_bytes += hello.digest.wire_bytes()
+                    digest_bytes += ack.digest.wire_bytes()
+                delta_bytes += ack.delta.wire_bytes() + push.delta.wire_bytes()
+                entries += len(ack.delta) + len(push.delta)
+                if mine is not None:
+                    membership_bytes += members_wire_bytes(hello.members)
+                    membership_bytes += members_wire_bytes(ack.members)
+        for detector in detectors:  # suspect -> confirm; on_dead evicts
+            detector.tick()
         stats = RoundStats(
-            index=len(self.rounds),
-            pairs=tuple(pairs),
-            digest_bytes=digest_bytes,
-            delta_bytes=delta_bytes,
-            entries_shipped=entries,
-            membership_bytes=membership_bytes,
+            len(self.rounds), tuple(pairs), digest_bytes, delta_bytes,
+            entries, membership_bytes,
         )
         self.rounds.append(stats)
         self._m_rounds.inc()
@@ -475,19 +492,15 @@ class GossipCoordinator:
         """Gossip until every view agrees; returns rounds used.
 
         Raises :class:`GossipError` when the budget runs out first - a
-        convergence *assertion*, not a best-effort loop.  At most
-        ``max_rounds`` rounds execute (convergence is checked once more
-        after the last one), so the accounting in :attr:`rounds` never
-        includes a round past the budget.
+        convergence *assertion*.  At most ``max_rounds`` rounds run
+        (convergence is checked once more after the last one).
         """
-        for used in range(max_rounds):
+        for used in range(max_rounds + 1):
             if self.converged():
                 self._m_convergence.observe(float(used))
                 return used
-            self.round()
-        if self.converged():
-            self._m_convergence.observe(float(max_rounds))
-            return max_rounds
+            if used < max_rounds:
+                self.round()
         raise GossipError(
             f"gossip failed to converge within {max_rounds} rounds "
             f"({len(self._views)} views)"
@@ -496,28 +509,14 @@ class GossipCoordinator:
     # ------------------------------------------------------------------
 
     def converged(self) -> bool:
-        """True when every *surviving* view's belief snapshot agrees.
-
-        Killed views are excluded: they stopped participating, so their
-        beliefs are frozen at death - survivors converge around them.
-        """
+        """True when every *surviving* view's belief snapshot agrees
+        (killed views are frozen at death)."""
         live = [v for v in self._views if v.node not in self._dead]
         if len(live) < 2:
             return True
         first = live[0].snapshot()
         return all(view.snapshot() == first for view in live[1:])
 
-    def union_snapshot(self) -> Dict:
-        """What a converged group must agree on: the union of beliefs."""
-        union = ObjectView("gossip-union")
-        for view in self._views:
-            union.merge_delta(view.delta_since(union.digest()))
-        return union.snapshot()
-
     @property
     def total_bytes(self) -> int:
         return sum(r.bytes_shipped for r in self.rounds)
-
-    @property
-    def total_entries(self) -> int:
-        return sum(r.entries_shipped for r in self.rounds)

@@ -68,6 +68,7 @@ __all__ = [
     "MembershipConfig",
     "MembershipError",
     "MembershipView",
+    "members_wire_bytes",
     "pack_members",
     "unpack_members",
 ]
@@ -176,6 +177,11 @@ def pack_members(members: Iterable[Member]) -> bytes:
             + _STATUS.pack(_RANK[member.status])
         )
     return b"".join(parts)
+
+
+def members_wire_bytes(members: Iterable[Member]) -> int:
+    """Exactly ``len(pack_members(members))``, without packing."""
+    return _COUNT.size + sum(m.wire_bytes() for m in members)
 
 
 def _bounded(raw: bytes, offset: int, size: int, field: str) -> None:
@@ -344,12 +350,6 @@ class MembershipView:
         with self._lock:
             return tuple(
                 self._members[node] for node in sorted(self._members)
-            )
-
-    def wire_bytes(self) -> int:
-        with self._lock:
-            return _COUNT.size + sum(
-                m.wire_bytes() for m in self._members.values()
             )
 
     def __len__(self) -> int:

@@ -6,20 +6,20 @@ coordinator (paper 4.2.2).  :class:`ObjectView` models exactly that: a
 node's *belief* about replica placement.  It advances when the node
 observes traffic (:meth:`learn`), when it snapshots the registry it can
 see (:meth:`sync_from_cluster`), or when two nodes run the pairwise
-inventory :meth:`exchange` handshake that the functional runtime
-implements for real in :mod:`repro.fixpoint.net` (which stores content
-keys and per-handle wire sizes in the same class - object names are any
-hashable).
+inventory handshake (the sans-I/O core in :mod:`repro.dist.gossip`,
+driven in-process by its coordinator and over real frames by
+:mod:`repro.fixpoint.net`, which stores content keys and per-handle
+wire sizes in the same class - object names are any hashable).
 
 **Anti-entropy is delta-based.**  Every belief this view originates is
 stamped with a per-origin version counter, and the whole state is
 summarised by a compact :meth:`digest` (origin -> highest version
 covered, O(origins) not O(entries)).  A handshake then ships only what
 the peer's digest does not cover: :meth:`delta_since` produces the
-missing entries, :meth:`merge_delta` applies them (idempotently - a
-version already covered is skipped), and :meth:`exchange` is now a thin
-digest+delta wrapper, so two already-converged views ship two digests
-and *zero* entries instead of re-sending full state every handshake.
+missing entries, and :meth:`merge_delta` applies them (idempotently - a
+version already covered is skipped), so two already-converged views
+ship two digests and *zero* entries instead of re-sending full state
+every handshake.
 Entries keep their origin stamp when forwarded, which is what lets
 epidemic gossip (:mod:`repro.dist.gossip`, the GOSSIP frames in
 :mod:`repro.fixpoint.net`) spread beliefs transitively: a view can
@@ -187,19 +187,6 @@ class Delta:
                 + 1 + (_U64_BYTES if size is not None else 0)
             )
         return total
-
-
-@dataclass(frozen=True)
-class ExchangeStats:
-    """What one pairwise anti-entropy handshake actually shipped."""
-
-    digest_bytes: int
-    delta_bytes: int
-    entries_shipped: int
-
-    @property
-    def bytes_shipped(self) -> int:
-        return self.digest_bytes + self.delta_bytes
 
 
 class ObjectView:
@@ -684,35 +671,6 @@ class ObjectView:
             if applied and self._clock is not None:
                 self.last_advance = self._clock()
             return applied
-
-    def exchange(
-        self, other: "ObjectView", cluster: Optional["Cluster"] = None
-    ) -> ExchangeStats:
-        """The pairwise inventory handshake of paper 4.2.2, delta-based.
-
-        Each side refreshes its own local holdings (when a cluster is
-        given), swaps digests, and ships only the entries the other's
-        digest does not cover - after which each view contains the
-        union, exactly as the old full-state merge did, but a handshake
-        between converged views moves two digests and zero entries.
-
-        Each step takes one view's lock at a time, never both at once -
-        concurrent exchanges in either order cannot deadlock.
-        """
-        if cluster is not None:
-            self.refresh_local(cluster)
-            other.refresh_local(cluster)
-        my_digest = self.digest()
-        their_digest = other.digest()
-        delta_out = self.delta_since(their_digest)
-        delta_in = other.delta_since(my_digest)
-        other.merge_delta(delta_out)
-        self.merge_delta(delta_in)
-        return ExchangeStats(
-            digest_bytes=my_digest.wire_bytes() + their_digest.wire_bytes(),
-            delta_bytes=delta_out.wire_bytes() + delta_in.wire_bytes(),
-            entries_shipped=len(delta_out) + len(delta_in),
-        )
 
     # ------------------------------------------------------------------
     # Placement pricing

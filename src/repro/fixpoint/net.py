@@ -90,27 +90,36 @@ just shipped would double the round trip for nothing.
 :meth:`FixpointNode.gossip_with` runs one push-pull anti-entropy round
 over a live channel, sequenced like every other frame::
 
-    [u8 0x10][u16 sender length][sender utf-8][ctx][digest]        (SYN)
-    [u8 0x11][ctx][digest][delta]                                  (ACK)
-    [u8 0x12][u16 sender length][sender utf-8][ctx][delta]         (PUSH)
+    [u8 0x10][u16 sender length][sender utf-8][ctx][digest][members]  (SYN)
+    [u8 0x11][ctx][digest][delta][members]                            (ACK)
+    [u8 0x12][u16 sender length][sender utf-8][ctx][delta]            (PUSH)
 
 (``ctx`` is the same 16-byte span context delegation frames carry: the
 SYN/PUSH ship the caller's *round* span, the ACK the peer's *serve*
 span, so a whole anti-entropy round is one stitched trace too.)
 
-using the codec in :mod:`repro.dist.gossip`.  Entries keep their origin
-stamps, so beliefs spread *transitively*: after beta gossips with gamma
-and alpha gossips with beta, alpha knows what gamma holds without ever
-having opened a channel to it - and because placement candidates
-include every gossip-learned node resolvable through the optional
-:class:`NodeDirectory`, :meth:`FixpointNode.quote_best` prices those
-nodes and delegation dials them on demand (:meth:`FixpointNode.connect`
-is itself just channel setup plus one gossip round).  Converged peers
-exchange digests and empty deltas - a handshake between nodes that
-already agree ships a few dozen bytes, not their inventories.
+Each frame carries one message of the sans-I/O handshake core in
+:mod:`repro.dist.gossip` - the steps
+:class:`~repro.dist.gossip.GossipCoordinator` drives in-process, and
+whose docstring holds the ordering rules.  This driver keeps only the
+net-specific parts (frame header, field codecs, channel sequencing,
+spans, metrics) and its policy: both ends restamp their own holdings
+and beat once per round.  A frame that fails to parse raises
+:class:`NetworkError`, a failed handshake like any other.
 
-**Membership.**  The SYN and ACK frames additionally piggyback each
-side's :class:`~repro.dist.membership.MembershipView` map (heartbeat
+Entries keep their origin stamps, so beliefs spread *transitively*:
+after beta gossips with gamma and alpha gossips with beta, alpha knows
+what gamma holds without ever having opened a channel to it - and
+because placement candidates include every gossip-learned node
+resolvable through the optional :class:`NodeDirectory`,
+:meth:`FixpointNode.quote_best` prices those nodes and delegation dials
+them on demand (:meth:`FixpointNode.connect` is itself just channel
+setup plus one gossip round).  Converged peers exchange digests and
+empty deltas - a handshake between nodes that already agree ships a
+few dozen bytes, not their inventories.
+
+**Membership.**  The SYN and ACK frames piggyback each side's
+:class:`~repro.dist.membership.MembershipView` map (heartbeat
 counters stamped like inventory versions, merged with the same
 idempotent join algebra), so liveness spreads on exactly the traffic
 that spreads inventory.  :meth:`FixpointNode.gossip_sweep` is one
@@ -149,12 +158,21 @@ from ..core.serialize import decode_bundle, encode_bundle
 from ..core.storage import Repository
 from ..dist.costmodel import Quote, choose
 from ..dist.gossip import (
+    Ack,
+    GossipError,
+    Push,
+    Syn,
+    absorb,
+    answer,
+    close,
     pack_delta,
     pack_digest,
+    syn,
     unpack_delta,
     unpack_digest,
 )
 from ..dist.membership import (
+    MembershipError,
     MembershipView,
     pack_members,
     unpack_members,
@@ -171,9 +189,18 @@ _ERR_MSG_LEN = struct.Struct("<I")
 _STATUS_OK = b"\x00"
 _STATUS_ERR = b"\x01"
 
-_GOSSIP_SYN = b"\x10"
-_GOSSIP_ACK = b"\x11"
-_GOSSIP_PUSH = b"\x12"
+#: Gossip frame layout per handshake-core message: tag byte, whether
+#: the header names the sender, and the message's fields in wire order.
+_GOSSIP_FRAMES = {
+    Syn: (b"\x10", True, ("digest", "members")),
+    Ack: (b"\x11", False, ("digest", "delta", "members")),
+    Push: (b"\x12", True, ("delta",)),
+}
+_GOSSIP_CODECS = {
+    "digest": (pack_digest, unpack_digest),
+    "delta": (pack_delta, unpack_delta),
+    "members": (pack_members, unpack_members),
+}
 
 #: Serializes topology mutation (channel registration on *both*
 #: endpoints).  One process-wide lock, not per-node: connect touches two
@@ -230,6 +257,46 @@ def _unpack_error(body: bytes) -> Tuple[str, str]:
     offset += _ERR_MSG_LEN.size
     message = body[offset : offset + msg_len].decode("utf-8")
     return error_type, message
+
+
+def _pack_gossip(message, ctx: SpanContext, sender: str) -> bytes:
+    """``[tag]([u16 sender len][sender])[ctx]`` then the message's
+    fields through the gossip codecs."""
+    tag, named, fields = _GOSSIP_FRAMES[type(message)]
+    parts = [tag]
+    if named:
+        raw = sender.encode("utf-8")
+        parts += [_SENDER_LEN.pack(len(raw)), raw]
+    parts.append(ctx.pack())
+    parts += [_GOSSIP_CODECS[f][0](getattr(message, f)) for f in fields]
+    return b"".join(parts)
+
+
+def _unpack_gossip(receiver: str, wire: bytes, kind: type):
+    """Parse a gossip frame that must carry a ``kind`` message; returns
+    (message, sender, span context).  A wrong tag or a frame that fails
+    to parse raises :class:`NetworkError`, like any other bad wire."""
+    tag, named, fields = _GOSSIP_FRAMES[kind]
+    label = kind.__name__.lower()
+    if wire[:1] != tag:
+        raise NetworkError(f"{receiver}: bad gossip {label} tag {wire[:1]!r}")
+    try:
+        offset, sender = 1, ""
+        if named:
+            (length,) = _SENDER_LEN.unpack_from(wire, offset)
+            offset += _SENDER_LEN.size
+            sender = wire[offset : offset + length].decode("utf-8")
+            offset += length
+        ctx, offset = SpanContext.unpack(wire, offset)
+        values = []
+        for f in fields:
+            value, offset = _GOSSIP_CODECS[f][1](wire, offset)
+            values.append(value)
+    except (GossipError, MembershipError, struct.error, UnicodeDecodeError) as exc:
+        raise NetworkError(
+            f"{receiver}: malformed gossip {label} frame: {exc}"
+        ) from exc
+    return kind(*values), sender, ctx
 
 
 @dataclass(frozen=True)
@@ -900,35 +967,22 @@ class FixpointNode:
     def gossip_with(self, peer_name: str) -> GossipTraffic:
         """One push-pull anti-entropy round with a connected peer.
 
-        Three sequenced frames cross the real channel: SYN (my digest),
-        ACK (peer's digest + the delta I lack), PUSH (the delta the
-        peer lacks).  Every byte is serialized/reparsed and counted on
-        the channel like delegation traffic, and the frames respect the
-        wire order - gossip can run concurrently with live delegations.
-        Between converged peers the deltas are empty: the round costs
-        two digests and framing, not the inventory.
+        The handshake core's messages cross the real channel as three
+        sequenced frames (SYN, ACK, PUSH), serialized, reparsed, and
+        counted like delegation traffic, so gossip can run concurrently
+        with live delegations.  Between converged peers the deltas are
+        empty: the round costs two digests and framing.
         """
         channel = self.peers.get(peer_name)
         if channel is None:
             raise NetworkError(f"{self.name}: no peer named {peer_name!r}")
         peer = self._peer(peer_name)
         self._refresh_self()
-        # Liveness piggyback: the heartbeat advances with every round
-        # this node initiates, and the whole membership map rides the
-        # SYN (and the peer's rides the ACK back) - O(nodes) bytes on
-        # traffic that is already crossing the wire.
+        # The heartbeat advances with every round this node initiates.
         self.membership.beat()
         span = self.obs.tracer.start("gossip.round", peer=peer_name)
-        sender = self.name.encode("utf-8")
-        syn = (
-            _GOSSIP_SYN
-            + _SENDER_LEN.pack(len(sender))
-            + sender
-            + span.context.pack()
-            + pack_digest(self.view.digest())
-            + pack_members(self.membership.members())
-        )
-        wire, seq = channel.send(self, syn)
+        hello = syn(self.view, self.membership)
+        wire, seq = channel.send(self, _pack_gossip(hello, span.context, self.name))
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(self, seq):
@@ -936,110 +990,53 @@ class FixpointNode:
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(peer, ack_seq):
-            if ack_wire[:1] != _GOSSIP_ACK:
-                raise NetworkError(
-                    f"{self.name}: bad gossip ack tag {ack_wire[:1]!r}"
-                )
-            _serve_ctx, offset = SpanContext.unpack(ack_wire, 1)
-            peer_digest, offset = unpack_digest(ack_wire, offset)
-            delta_in, offset = unpack_delta(ack_wire, offset)
-            peer_members, _ = unpack_members(ack_wire, offset)
-            # The PUSH delta is computed *before* the ACK merges: if
-            # the ACK brings home this node's own tombstone, the merge
-            # refutes it (incarnation bump + epoch restamp), and the
-            # restamped entries must not ride a members-free PUSH to a
-            # peer that still believes us dead - its eviction gate
-            # would drop them while its caps advanced past them,
-            # losing them for good.  They go out on the *next* round,
-            # whose SYN carries the refutation ahead of them.
-            delta_out = self.view.delta_since(peer_digest)
-            # Liveness merges *before* inventory: a tombstone on the
-            # ACK must evict ahead of the stale entries it shadows, and
-            # a rejoin must lift the eviction gate ahead of the
-            # returning node's fresh entries - inventory-first would
-            # drop those entries while the caps advanced past them.
-            # (The serve path already orders it this way: members
-            # merge before the delta is computed.)
-            self.membership.merge(peer_members)
-            self.view.merge_delta(delta_in)
-        push = (
-            _GOSSIP_PUSH
-            + _SENDER_LEN.pack(len(sender))
-            + sender
-            + span.context.pack()
-            + pack_delta(delta_out)
+            ack, _, _ = _unpack_gossip(self.name, ack_wire, Ack)
+            push = close(self.view, self.membership, ack)
+        push_wire, push_seq = channel.send(
+            self, _pack_gossip(push, span.context, self.name)
         )
-        push_wire, push_seq = channel.send(self, push)
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(self, push_seq):
             peer._absorb_gossip_push(push_wire)
         with self._lock:
             self.gossip_rounds += 1
+        entries_in, entries_out = len(ack.delta), len(push.delta)
         bytes_shipped = len(wire) + len(ack_wire) + len(push_wire)
         self._m_gossip_rounds.inc(peer=peer_name, role="caller")
         self._m_gossip_bytes.inc(bytes_shipped, peer=peer_name)
-        self._m_gossip_entries.inc(len(delta_in), direction="in")
-        self._m_gossip_entries.inc(len(delta_out), direction="out")
+        self._m_gossip_entries.inc(entries_in, direction="in")
+        self._m_gossip_entries.inc(entries_out, direction="out")
         span.set(
-            bytes=bytes_shipped,
-            entries_in=len(delta_in),
-            entries_out=len(delta_out),
+            bytes=bytes_shipped, entries_in=entries_in, entries_out=entries_out
         ).finish()
-        return GossipTraffic(
-            peer=peer_name,
-            bytes_shipped=bytes_shipped,
-            entries_received=len(delta_in),
-            entries_sent=len(delta_out),
-        )
+        return GossipTraffic(peer_name, bytes_shipped, entries_in, entries_out)
 
     def _serve_gossip_syn(self, wire: bytes) -> Tuple[bytes, int]:
-        """Peer side of a gossip SYN: answer with digest + delta.
+        """Peer side of a gossip SYN: answer with the core's ACK.
 
         Runs inside the SYN's delivery window on the gossiping thread;
         sends (and sequences) the ACK on the way out.
         """
-        if wire[:1] != _GOSSIP_SYN:
-            raise NetworkError(f"{self.name}: bad gossip syn tag {wire[:1]!r}")
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 1)
-        offset = 1 + _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        ctx, offset = SpanContext.unpack(wire, offset + sender_len)
-        digest, offset = unpack_digest(wire, offset)
-        caller_members, _ = unpack_members(wire, offset)
+        hello, sender, ctx = _unpack_gossip(self.name, wire, Syn)
         self._refresh_self()
-        # Serving a round is as alive as initiating one: beat, join the
-        # caller's liveness map, and ship the merged map back on the ACK.
+        # Serving a round is as alive as initiating one.
         self.membership.beat()
-        self.membership.merge(caller_members)
         span = self.obs.tracer.start("gossip.serve", parent=ctx, peer=sender)
-        delta = self.view.delta_since(digest)
-        span.set(entries_out=len(delta)).finish()
-        ack = (
-            _GOSSIP_ACK
-            + span.context.pack()
-            + pack_digest(self.view.digest())
-            + pack_delta(delta)
-            + pack_members(self.membership.members())
-        )
+        ack = answer(self.view, self.membership, hello)
+        span.set(entries_out=len(ack.delta)).finish()
         with self._lock:
             self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")
-        return self._send_back(sender, ack)
+        return self._send_back(sender, _pack_gossip(ack, span.context, self.name))
 
     def _absorb_gossip_push(self, wire: bytes) -> int:
         """Peer side of the closing PUSH: merge the caller's delta."""
-        if wire[:1] != _GOSSIP_PUSH:
-            raise NetworkError(f"{self.name}: bad gossip push tag {wire[:1]!r}")
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 1)
-        offset = 1 + _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        ctx, offset = SpanContext.unpack(wire, offset + sender_len)
-        delta, _ = unpack_delta(wire, offset)
+        push, sender, ctx = _unpack_gossip(self.name, wire, Push)
         with self.obs.tracer.start(
             "gossip.absorb", parent=ctx, peer=sender
         ) as span:
-            applied = self.view.merge_delta(delta)
+            applied = absorb(self.view, push)
             span.set(applied=applied)
         return applied
 

@@ -29,7 +29,8 @@ from __future__ import annotations
 import hashlib
 import struct
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.sync import TrackedLock
 
@@ -184,10 +185,11 @@ def _node_salt(node: str) -> int:
 class Tracer:
     """Mints and records spans for one node.
 
-    ``max_spans`` bounds memory on long-lived nodes: past the cap new
-    spans are still minted (identity must keep flowing onto the wire)
-    but no longer retained, and :attr:`dropped` counts them - a bounded
-    buffer that degrades visibly, never a silent unbounded list.
+    ``max_spans`` bounds memory on long-lived nodes: retention is a ring
+    that keeps the *newest* ``max_spans`` spans - a long-lived node's
+    recent history is the part worth reading - and :attr:`dropped`
+    counts the spans evicted to make room, so the buffer degrades
+    visibly, never into a silent unbounded list.
     """
 
     def __init__(
@@ -203,7 +205,7 @@ class Tracer:
         self._salt = _node_salt(node)
         self._seq = 0
         self._lock = TrackedLock("Tracer._lock")
-        self._spans: List[Span] = []
+        self._spans: Deque[Span] = deque(maxlen=max_spans)
 
     def _next_id(self) -> int:
         # Called with the lock held.
@@ -234,10 +236,9 @@ class Tracer:
                 self, name, trace_id, span_id, parent_id,
                 self.clock(), dict(attrs),
             )
-            if len(self._spans) < self.max_spans:
-                self._spans.append(span)
-            else:
-                self.dropped += 1
+            if len(self._spans) == self.max_spans:
+                self.dropped += 1  # the append evicts the oldest span
+            self._spans.append(span)
         return span
 
     @property

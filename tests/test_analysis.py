@@ -617,8 +617,8 @@ class TestLinter:
 @pytest.mark.stress
 class TestObjectViewLockDiscipline:
     """Four threads hammer one shared :class:`ObjectView` (plus a peer
-    for ``exchange``) with a hypothesis-generated op mix, under a private
-    lock tracker: the RLock-across-``price_moves`` discipline must
+    for gossip handshakes) with a hypothesis-generated op mix, under a
+    private lock tracker: the RLock-across-``price_moves`` discipline must
     produce no lock-order inversion, no hold-while-blocking event, and a
     holdings index that never disagrees with the forward location map.
     """
@@ -652,7 +652,9 @@ class TestObjectViewLockDiscipline:
         elif kind == "forget":
             view.forget(op[1], op[2])
         elif kind == "exchange":
-            view.exchange(peer)
+            from repro.dist.gossip import absorb, answer, close, syn
+
+            absorb(peer, close(view, None, answer(peer, None, syn(view))))
         elif kind == "price":
             view.price_moves([(op[1], 1024)], ["n0", "n1", "n2"])
 

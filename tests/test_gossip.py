@@ -2,8 +2,8 @@
 
 Covers the versioned delta state in
 :class:`repro.dist.objectview.ObjectView` (``digest`` / ``delta_since``
-/ ``merge_delta``, the ``exchange`` wrapper and its converged
-short-circuit, forget-retracts-from-deltas), the seeded
+/ ``merge_delta``, forget-retracts-from-deltas), the handshake core
+driven in-process (its converged short-circuit), the seeded
 :class:`repro.dist.gossip.GossipCoordinator` (replayable schedules,
 O(log n) convergence, full-state ablation accounting, staleness
 monotonicity), the :class:`~repro.dist.engine.FixpointSim` wiring
@@ -26,12 +26,17 @@ from repro.dist.gossip import (
     GossipConfig,
     GossipCoordinator,
     GossipError,
+    absorb,
+    answer,
+    close,
     pack_delta,
     pack_digest,
+    syn,
     unpack_delta,
     unpack_digest,
 )
 from repro.dist.graph import JobGraph, TaskSpec
+from repro.dist.membership import MembershipView
 from repro.dist.objectview import EMPTY_DIGEST, Digest, ObjectView
 from repro.fixpoint.net import FixpointNode, NodeDirectory
 
@@ -45,6 +50,26 @@ def seeded_views(n: int, objects_per_node: int = 3):
         for j in range(objects_per_node):
             view.learn(f"obj-{i}-{j}", view.node, 1 * MB)
     return views
+
+
+def handshake(caller, server):
+    """One membership-free round of the handshake core, in-process;
+    returns its (Syn, Ack, Push) messages."""
+    hello = syn(caller)
+    ack = answer(server, None, hello)
+    push = close(caller, None, ack)
+    absorb(server, push)
+    return hello, ack, push
+
+
+def shipped(messages):
+    """(entries, digest bytes, delta bytes) one handshake moved."""
+    hello, ack, push = messages
+    return (
+        len(ack.delta) + len(push.delta),
+        hello.digest.wire_bytes() + ack.digest.wire_bytes(),
+        ack.delta.wire_bytes() + push.delta.wire_bytes(),
+    )
 
 
 def union_of(views):
@@ -110,8 +135,8 @@ class TestDigestDelta:
         - the property epidemic spread rests on."""
         a, b, c = ObjectView("a"), ObjectView("b"), ObjectView("c")
         a.learn("x", "a", 10)
-        a.exchange(b)
-        b.exchange(c)
+        handshake(a, b)
+        handshake(b, c)
         assert c.knows("x", "a")
         assert c.believed_size("x") == 10
         # And c's coverage means a has nothing left to send it.
@@ -149,7 +174,7 @@ class TestDigestDelta:
         third.merge_delta(caller.delta_since(third.digest()))
         assert third.knows("k", "holder")
 
-    def test_exchange_still_produces_the_union(self, make_cluster=None):
+    def test_exchange_still_produces_the_union(self):
         from repro.sim.cluster import Cluster, MachineSpec
         from repro.sim.engine import Simulator
 
@@ -160,7 +185,9 @@ class TestDigestDelta:
         cluster.add_object("a", 10, "node0")
         cluster.add_object("b", 20, "node1")
         v0, v1 = ObjectView("node0"), ObjectView("node1")
-        v0.exchange(v1, cluster)
+        v0.refresh_local(cluster)
+        v1.refresh_local(cluster)
+        handshake(v0, v1)
         for view in (v0, v1):
             assert view.where("a") == {"node0"}
             assert view.where("b") == {"node1"}
@@ -175,14 +202,14 @@ class TestConvergedExchangeRegression:
         a, b = ObjectView("a"), ObjectView("b")
         for i in range(50):
             a.learn(f"obj{i}", "a", 1 * MB)
-        first = a.exchange(b)
-        assert first.entries_shipped == 50
-        again = a.exchange(b)
-        assert again.entries_shipped == 0
+        first_entries, first_digests, first_deltas = shipped(handshake(a, b))
+        assert first_entries == 50
+        entries, digests, deltas = shipped(handshake(a, b))
+        assert entries == 0
         # Only digests (+ empty-delta framing) cross the wire...
-        assert again.delta_bytes <= 16
+        assert deltas <= 16
         # ...orders of magnitude below the full state the old code sent.
-        assert again.bytes_shipped < first.bytes_shipped / 20
+        assert digests + deltas < (first_digests + first_deltas) / 20
 
     def test_wire_codec_matches_the_accounting(self):
         """Digest/Delta wire_bytes must equal the real serialization the
@@ -208,6 +235,71 @@ class TestConvergedExchangeRegression:
         view.learn(("tuple", "name"), "b", 1)  # fine in simulation...
         with pytest.raises(GossipError):
             pack_delta(view.delta_since(EMPTY_DIGEST))  # ...not on a wire
+
+
+# ----------------------------------------------------------------------
+# The handshake core
+
+
+class TestHandshakeCore:
+    """The ordering rules of the shared core, on two views with paired
+    failure detectors (the wiring both drivers use)."""
+
+    @staticmethod
+    def _node(name):
+        view = ObjectView(name)
+        membership = MembershipView(
+            name,
+            on_dead=view.evict,
+            on_rejoin=view.readmit,
+            on_refute=view.advance_epoch,
+        )
+        return view, membership
+
+    @staticmethod
+    def _round(caller, server):
+        (view, membership), (peer, theirs) = caller, server
+        push = close(view, membership, answer(peer, theirs, syn(view, membership)))
+        absorb(peer, push)
+        return push
+
+    def test_server_refutation_rides_the_ack_ahead_of_its_entries(self):
+        caller, server = self._node("c"), self._node("s")
+        server[0].learn("x", "s", 10)
+        self._round(caller, server)
+        caller[1].declare_dead("s")  # a false accusation
+        assert caller[0].where("x") == set()
+        self._round(caller, server)
+        # The server refuted while answering, and its ACK carried the
+        # refutation, so the caller readmitted it before merging the
+        # re-stamped entry.
+        assert server[1].incarnation() == 2
+        assert not caller[1].is_dead("s")
+        assert caller[0].where("x") == {"s"}
+
+    def test_caller_refutation_waits_for_the_next_syn(self):
+        caller, server = self._node("c"), self._node("s")
+        caller[0].learn("x", "c", 10)
+        self._round(caller, server)
+        server[1].declare_dead("c")
+        push = self._round(caller, server)
+        # The ACK told the caller it was dead; it refuted, but its PUSH
+        # was computed first and carries nothing of the new epoch.
+        assert caller[1].incarnation() == 2
+        assert not [e for e in push.delta.entries if e[0] == "c#2"]
+        self._round(caller, server)
+        assert not server[1].is_dead("c")
+        assert server[0].where("x") == {"c"}
+
+    def test_full_state_treats_the_digest_as_empty(self):
+        a, b = ObjectView("a"), ObjectView("b")
+        a.learn("x", "a", 10)
+        b.learn("y", "b", 20)
+        handshake(a, b)
+        ack = answer(b, None, syn(a), full_state=True)
+        push = close(a, None, ack, full_state=True)
+        assert len(ack.delta) == len(push.delta) == 2
+        assert absorb(b, push) == 0  # nothing new: replays are idempotent
 
 
 # ----------------------------------------------------------------------
@@ -454,6 +546,98 @@ class TestNetGossip:
 
         with pytest.raises(NetworkError):
             lonely.gossip_with("nobody")
+
+    #: The wire format, pinned: (tag, length, sha256) of each
+    #: frame of connect + one more round between two fresh nodes.  The
+    #: stdlib codelets every node compiles at boot are part of the
+    #: inventory, so a stdlib edit moves these too.
+    PINNED_FRAMES = [
+        ("10", 71, "78918bf21db5102ab394cfd8ad265ba278093dc3afe4ae0eb28fe590437261c2"),
+        ("11", 507, "e3b1257bbe1df99d1a9fb5b51b8c068267e87c18fbe1d96eb2fc0d874e1cc727"),
+        ("12", 460, "6e170cddeb8d3402d74eff985631087f9f74854c9fa8907f32dc9e60ad017a63"),
+        ("10", 108, "67406d5762cfdc3d0ed72f161a8d6689ef7c6a2309ee10e9a32090e64fcc505b"),
+        ("11", 180, "1be7215b623246de43f9200fdb748494dd93c0ca288464e863d56e203cb8a693"),
+        ("12", 106, "d5e2c300dd1e0a05df8edcfe23a33b183b96c9ebde4c66040f5ba5c743fa3f3e"),
+    ]
+
+    def test_frames_match_the_pinned_wire_format(self, monkeypatch):
+        import hashlib
+
+        from repro.core.data import Blob
+        from repro.fixpoint.net import Channel
+
+        frames = []
+        send = Channel.send
+
+        def recording_send(channel, sender, payload):
+            frames.append(bytes(payload))
+            return send(channel, sender, payload)
+
+        monkeypatch.setattr(Channel, "send", recording_send)
+        alpha, beta = FixpointNode("alpha"), FixpointNode("beta")
+        alpha.repo.put(Blob(b"alpha-only " * 8))
+        beta.repo.put(Blob(b"beta-only " * 9))
+        channel = alpha.connect(beta)
+        alpha.repo.put(Blob(b"alpha-later " * 7))
+        beta.repo.put(Blob(b"beta-later " * 6))
+        traffic = alpha.gossip_with("beta")
+        assert [
+            (f[:1].hex(), len(f), hashlib.sha256(f).hexdigest()) for f in frames
+        ] == self.PINNED_FRAMES
+        assert traffic.bytes_shipped == 394
+        assert (traffic.entries_received, traffic.entries_sent) == (1, 1)
+        assert (channel.bytes_ab, channel.bytes_ba) == (745, 687)
+
+    def _round_frames(self, monkeypatch):
+        """A connected pair plus the frames of one more round."""
+        from repro.fixpoint.net import Channel
+
+        a, b = FixpointNode("alpha"), FixpointNode("beta")
+        a.connect(b)
+        a.repo.put_blob(b"news" * 50)
+        frames = []
+        send = Channel.send
+
+        def recording_send(channel, sender, payload):
+            frames.append(bytes(payload))
+            return send(channel, sender, payload)
+
+        monkeypatch.setattr(Channel, "send", recording_send)
+        a.gossip_with("beta")
+        monkeypatch.setattr(Channel, "send", send)
+        return a, b, frames
+
+    def test_truncated_gossip_frames_are_network_errors(self, monkeypatch):
+        """Every strict prefix of a SYN or PUSH is refused with a
+        NetworkError (never a bare struct.error), before any state
+        changes on the receiving node."""
+        from repro.fixpoint.net import NetworkError
+
+        _a, b, (syn_frame, _ack, push_frame) = self._round_frames(monkeypatch)
+        digest = b.view.digest()
+        for frame, serve in (
+            (syn_frame, b._serve_gossip_syn),
+            (push_frame, b._absorb_gossip_push),
+        ):
+            for cut in range(len(frame)):
+                with pytest.raises(NetworkError, match="gossip"):
+                    serve(frame[:cut])
+        assert b.view.digest() == digest
+
+    def test_sweep_suspects_a_peer_whose_ack_fails_to_parse(self, monkeypatch):
+        """A malformed ACK is a failed handshake: the sweep records a
+        suspicion instead of letting a codec error escape."""
+        a, b = FixpointNode("alpha"), FixpointNode("beta")
+        a.connect(b)
+        serve = b._serve_gossip_syn
+
+        def truncating_serve(wire):
+            ack, seq = serve(wire)
+            return ack[: len(ack) // 2], seq
+
+        monkeypatch.setattr(b, "_serve_gossip_syn", truncating_serve)
+        assert a.gossip_sweep() == []
+        assert a.membership.status("beta") == "suspect"
 
 
 @pytest.mark.stress

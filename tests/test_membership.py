@@ -26,7 +26,15 @@ import pytest
 from repro.codelets.stdlib import blob_int, int_blob
 from repro.core.errors import SchedulingError
 from repro.core.thunks import make_application
-from repro.dist.gossip import GossipConfig, GossipCoordinator, GossipError
+from repro.dist.gossip import (
+    GossipConfig,
+    GossipCoordinator,
+    GossipError,
+    pack_delta,
+    pack_digest,
+    unpack_delta,
+    unpack_digest,
+)
 from repro.dist.membership import (
     ALIVE,
     DEAD,
@@ -38,7 +46,7 @@ from repro.dist.membership import (
     pack_members,
     unpack_members,
 )
-from repro.dist.objectview import EMPTY_DIGEST, ObjectView
+from repro.dist.objectview import EMPTY_DIGEST, Delta, Digest, ObjectView
 from repro.dist.scheduler import DataflowScheduler
 from repro.fixpoint.jobs import JobQueue
 from repro.fixpoint.net import FixpointNode, NetworkError, NodeDirectory
@@ -127,11 +135,24 @@ class TestMemberLattice:
         assert len(pack_members(members)) == 4 + per_member
 
 
+#: Two-entry digest and delta frames: the inventory side of the same
+#: gossip messages the membership codec rides with.
+_TWO_ENTRY_DELTA = Delta(
+    (
+        ("alpha", 3, b"\x07" * 32, "alpha", 4096),
+        ("beta#2", 9, "a-str-name", "beta", None),
+    ),
+    {"alpha": 3, "beta#2": 9},
+)
+
+
 class TestCodecTruncation:
     """Satellite: ``unpack_members`` on a truncated frame used to raise
     a bare ``struct.error`` (or slice a short node name and misparse
     the tail as garbage fields).  Every read is now bound-checked and
-    refuses with a :class:`MembershipError` naming the offset."""
+    refuses with a :class:`MembershipError` naming the offset - and the
+    digest and delta codecs riding the same frames refuse the same way,
+    with a :class:`GossipError`."""
 
     FRAME = pack_members(
         [
@@ -141,14 +162,30 @@ class TestCodecTruncation:
         ]
     )
 
-    def test_every_strict_prefix_is_refused_with_the_offset(self):
+    @pytest.mark.parametrize(
+        "frame, unpack, error",
+        [
+            (FRAME, unpack_members, MembershipError),
+            (
+                pack_digest(Digest(_TWO_ENTRY_DELTA.versions)),
+                unpack_digest,
+                GossipError,
+            ),
+            (pack_delta(_TWO_ENTRY_DELTA), unpack_delta, GossipError),
+        ],
+        ids=["members", "digest", "delta"],
+    )
+    def test_every_strict_prefix_is_refused_with_the_offset(
+        self, frame, unpack, error
+    ):
         import struct as _struct
 
-        for cut in range(len(self.FRAME)):
-            prefix = self.FRAME[:cut]
+        assert unpack(frame)[1] == len(frame)
+        for cut in range(len(frame)):
+            prefix = frame[:cut]
             try:
-                unpack_members(prefix)
-            except MembershipError as exc:
+                unpack(prefix)
+            except error as exc:
                 assert "offset" in str(exc)
                 assert "truncated" in str(exc)
             except _struct.error as exc:  # pragma: no cover - the bug
@@ -602,6 +639,30 @@ class TestCoordinatorMembership:
         # ...and the dead epoch stayed dead: no resurrection.
         assert views[0].where("old-obj") == set()
 
+    def test_restart_outranks_an_incarnation_bumped_by_refutation(self):
+        """A node that refuted a false accusation (incarnation 2) and
+        then died is tombstoned at incarnation 2; its restart must come
+        back at 3 - one past what it last asserted, not one past where
+        it started - so the rejoin outranks the tombstone directly."""
+        views, coordinator = self._coordinator(n=5)
+        coordinator.run_rounds(5)
+        coordinator.membership_view("n0").declare_dead("n2")
+        coordinator.run_rounds(20)
+        assert coordinator.membership_view("n2").incarnation() == 2
+        coordinator.kill("n2")
+        rounds = 0
+        while len(coordinator.declared_dead("n2")) < 4:
+            coordinator.round()
+            rounds += 1
+            assert rounds < 32, "tombstone never converged"
+        fresh = coordinator.restart("n2")
+        assert fresh.epoch == 3
+        assert coordinator.membership_view("n2").incarnation() == 3
+        fresh.learn("reborn", "n2", 8)
+        coordinator.run_rounds(12)
+        assert len(coordinator.readmitted("n2")) == 4
+        assert views[0].where("reborn") == {"n2"}
+
     def test_second_death_after_rejoin_is_detected_again(self):
         _views, coordinator = self._coordinator()
         for _ in range(5):
@@ -628,6 +689,53 @@ class TestCoordinatorMembership:
 
 # ----------------------------------------------------------------------
 # Placement exclusion (the one cost model, both runtimes)
+
+
+class TestCoordinatorFalseAccusation:
+    """Regression: a live node partitioned until every survivor
+    tombstones it refutes the tombstone when the partition heals, and
+    its re-stamped holdings must reach every survivor.
+
+    The coordinator used to merge both membership maps from
+    pre-refutation snapshots and then swap inventory: the refuting
+    node's fresh entries reached survivors that still believed it dead,
+    whose eviction gate dropped them while their version caps advanced
+    past them - lost for good, in every seed.  With the shared
+    handshake core the refutation rides the ACK ahead of the entries.
+    """
+
+    VICTIM = "node001"
+
+    def _scenario(self, seed: int):
+        views = [ObjectView(f"node{i:03d}") for i in range(5)]
+        for view in views:
+            for j in range(3):
+                view.learn(f"{view.node}-obj{j}", view.node, 100 + j)
+        coordinator = GossipCoordinator(views, seed=seed, membership=True)
+        coordinator.run_rounds(4)
+        survivors = {v.node for v in views} - {self.VICTIM}
+        rounds = 0
+        while coordinator.declared_dead(self.VICTIM) != survivors:
+            coordinator.round(participants=survivors)
+            rounds += 1
+            assert rounds < 64, "partition never tombstoned the victim"
+        coordinator.run_rounds(30)  # heal
+        return {v.node: v for v in views}, coordinator, survivors
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_refuted_holdings_reach_every_survivor(self, seed):
+        views, coordinator, survivors = self._scenario(seed)
+        victim = views[self.VICTIM]
+        own = victim.holdings(self.VICTIM)
+        assert len(own) == 3
+        assert coordinator.membership_view(self.VICTIM).incarnation() >= 2
+        for survivor in sorted(survivors):
+            assert not coordinator.membership_view(survivor).is_dead(
+                self.VICTIM
+            ), f"{survivor} never readmitted the victim"
+            assert views[survivor].holdings(self.VICTIM) == own, (
+                f"{survivor} lost the victim's re-stamped holdings"
+            )
 
 
 class TestSchedulerExcludesDead:

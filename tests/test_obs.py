@@ -195,6 +195,17 @@ class TestTracer:
         names = [Tracer("node0").start("a").span_id for _ in range(2)]
         assert names[0] == names[1]
 
+    def test_retention_keeps_the_newest_spans(self):
+        """Past the cap a long-lived node keeps its recent history:
+        the oldest spans are evicted, and ``dropped`` counts them."""
+        tracer = Tracer("node0", max_spans=3)
+        for i in range(5):
+            tracer.start(f"s{i}").finish()
+        assert [span.name for span in tracer.spans] == ["s2", "s3", "s4"]
+        assert tracer.dropped == 2
+        tracer.reset()
+        assert tracer.spans == [] and tracer.dropped == 0
+
 
 # ----------------------------------------------------------------------
 # Cross-node propagation: the acceptance criterion

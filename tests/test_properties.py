@@ -19,7 +19,7 @@ from repro.core.thunks import (
     make_selection_range,
     strict,
 )
-from repro.dist.gossip import GossipCoordinator
+from repro.dist.gossip import GossipCoordinator, absorb, answer, close, syn
 from repro.dist.membership import (
     ALIVE,
     DEAD,
@@ -279,10 +279,11 @@ class TestGossipMergeAlgebra:
     @settings(max_examples=60, deadline=None)
     @given(view_ops)
     def test_exchange_converges_on_the_join(self, ops):
-        """A pairwise exchange leaves both sides equal to their join."""
+        """One handshake leaves both sides equal to their join."""
         views = _views_from_ops(ops, count=2)
         expected = _merge_into_fresh("join", *views).snapshot()
-        views[0].exchange(views[1])
+        caller, server = views
+        absorb(server, close(caller, None, answer(server, None, syn(caller))))
         assert views[0].snapshot() == expected
         assert views[1].snapshot() == expected
 
@@ -297,6 +298,64 @@ class TestGossipMergeAlgebra:
         coordinator.run(max_rounds=16)
         for view in views:
             assert view.snapshot() == expected
+
+    #: Interleavings of liveness trouble on a 4-view coordinator:
+    #: partitioned rounds (a participant subset, repeated), healed
+    #: rounds, fresh holdings, and false accusations (one observer
+    #: tombstones a live node, which must refute to come back).
+    schedules = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("partition"),
+                st.sets(st.integers(0, 3), min_size=1, max_size=3),
+                st.integers(1, 12),
+            ),
+            st.tuples(st.just("round"), st.integers(1, 4)),
+            st.tuples(st.just("learn"), st.integers(0, 3), st.integers(0, 7)),
+            st.tuples(st.just("accuse"), st.integers(0, 3), st.integers(0, 3)),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedules, st.integers(min_value=0, max_value=2 ** 31))
+    def test_liveness_trouble_never_loses_a_nodes_own_holdings(
+        self, schedule, seed
+    ):
+        """Partitions, heals and refutations in any order, then enough
+        full rounds: every node is live everywhere again and every
+        survivor knows every node's own holdings - a refutation never
+        strands re-stamped entries behind a peer's eviction gate."""
+        views = [ObjectView(f"v{i}") for i in range(4)]
+        for view in views:
+            view.learn(f"{view.node}-boot", view.node, 64)
+        coordinator = GossipCoordinator(
+            views, seed=seed, membership=True, suspect_after=3, confirm_after=3
+        )
+        for op in schedule:
+            if op[0] == "partition":
+                side = {views[i].node for i in op[1]}
+                coordinator.run_rounds(op[2], participants=side)
+            elif op[0] == "round":
+                coordinator.run_rounds(op[1])
+            elif op[0] == "learn":
+                view = views[op[1]]
+                view.learn(f"{view.node}-obj{op[2]}", view.node, 32)
+            elif op[1] != op[2]:
+                coordinator.membership_view(views[op[1]].node).declare_dead(
+                    views[op[2]].node
+                )
+        coordinator.run_rounds(40)
+        for view in views:
+            own = view.holdings(view.node)
+            for other in views:
+                detector = coordinator.membership_view(other.node)
+                assert not detector.is_dead(view.node)
+                assert own <= other.holdings(view.node), (
+                    f"{other.node} lost {view.node}'s holdings "
+                    f"{sorted(own - other.holdings(view.node))}"
+                )
 
 
 # ----------------------------------------------------------------------
