@@ -35,7 +35,7 @@ class Footprint:
 
     ``data`` holds content keys of data that must be resident;
     ``pending`` holds Encode handles that must be evaluated first;
-    ``data_bytes`` approximates the wire size of the resident set.
+    ``data_bytes`` sums the handle-recorded sizes of ``data``.
     """
 
     data: FrozenSet[bytes]
@@ -56,44 +56,7 @@ def footprint(repo: Repository, handle: Handle) -> Footprint:
     in ``data`` (by content key) using the size recorded in its handle, so
     schedulers can cost placements before any transfer happens.
     """
-    seen: Set[bytes] = set()
-    data: Set[bytes] = set()
-    pending: Set[Handle] = set()
-    total = 0
-
-    def visit(h: Handle, subject: bool) -> None:
-        """``subject`` is True only along the spine being evaluated.
-
-        Paper fig. 2: a bare Thunk handed to a child *excludes* its
-        definition from the minimum repository; only the thunk actually
-        being evaluated needs its definition resident.
-        """
-        nonlocal total
-        if h.is_encode:
-            pending.add(h)
-            if subject:
-                visit(h.unwrap_encode(), subject=True)
-            return
-        if h.thunk_style is not ThunkStyle.NONE:
-            if subject:
-                visit(h.definition(), subject=False)
-            return
-        if h.is_ref:
-            return  # metadata only
-        if h.is_literal:
-            return  # the payload rides inside the handle; no residency needed
-        key = h.content_key()
-        if key in seen:
-            return
-        seen.add(key)
-        data.add(key)
-        total += h.byte_size()
-        if h.is_tree and repo.contains(h):
-            for child in repo.get_tree(h):
-                visit(child, subject=False)
-
-    visit(handle, subject=True)
-    return Footprint(frozenset(data), frozenset(pending), total)
+    return _walk(repo, handle, expand=False)
 
 
 def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
@@ -102,24 +65,44 @@ def transitive_footprint(repo: Repository, handle: Handle) -> Footprint:
     ``footprint`` treats an Encode entry as somebody else's problem -
     correct for placement costing, where the platform may evaluate it
     anywhere.  A *delegatee* asked to evaluate the whole object, however,
-    needs everything required to evaluate every nested Encode as well.
+    needs everything required to evaluate every nested Encode as well:
+    the same walk, with each pending Encode expanded where it is found.
     """
+    return _walk(repo, handle, expand=True)
+
+
+def _walk(repo: Repository, handle: Handle, expand: bool) -> Footprint:
+    """The footprint walk.  ``subject`` is True only along the spine
+    being evaluated: paper fig. 2, a bare Thunk handed to a child
+    *excludes* its definition from the minimum repository; only the
+    thunk actually being evaluated needs its definition resident.  With
+    ``expand``, every pending Encode is the subject of its own
+    evaluation, walked once against the same ``data`` set."""
     data: Set[bytes] = set()
     pending: Set[Handle] = set()
     total = 0
-    queue = [handle]
-    while queue:
-        fp = footprint(repo, queue.pop())
-        for key in fp.data:
-            if key not in data:
-                data.add(key)
-        for encode in fp.pending:
-            if encode not in pending:
-                pending.add(encode)
-                queue.append(encode)
-    for resident in repo.handles():
-        if resident.content_key() in data:
-            total += resident.byte_size()
+    stack = [(handle, True)]
+    while stack:
+        h, subject = stack.pop()
+        if h.is_encode:
+            if h not in pending:
+                pending.add(h)
+                if subject or expand:
+                    stack.append((h.unwrap_encode(), True))
+            continue
+        if h.thunk_style is not ThunkStyle.NONE:
+            if subject:
+                stack.append((h.definition(), False))
+            continue
+        if h.is_ref or h.is_literal:
+            continue  # metadata only / the payload rides inside the handle
+        key = h.content_key()
+        if key in data:
+            continue
+        data.add(key)
+        total += h.byte_size()
+        if h.is_tree and repo.contains(h):
+            stack.extend((child, False) for child in repo.get_tree(h))
     return Footprint(frozenset(data), frozenset(pending), total)
 
 

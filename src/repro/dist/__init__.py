@@ -66,7 +66,6 @@ from .multitenancy import (
 )
 from .membership import (
     Member,
-    MembershipConfig,
     MembershipError,
     MembershipView,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "JobGraph",
     "JobTicket",
     "Member",
-    "MembershipConfig",
     "MembershipError",
     "MembershipView",
     "ObjectView",

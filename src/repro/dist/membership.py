@@ -65,7 +65,6 @@ __all__ = [
     "SUSPECT",
     "Member",
     "join_members",
-    "MembershipConfig",
     "MembershipError",
     "MembershipView",
     "members_wire_bytes",
@@ -221,21 +220,6 @@ def unpack_members(raw: bytes, offset: int = 0) -> Tuple[Tuple[Member, ...], int
             raise MembershipError(f"bad membership status byte {rank}")
         members.append(Member(node, heartbeat, status, incarnation))
     return tuple(members), offset
-
-
-@dataclass(frozen=True)
-class MembershipConfig:
-    """Failure-detector thresholds, in *observed gossip rounds*.
-
-    ``suspect_after`` rounds without a heartbeat advance mark a node
-    suspect; ``confirm_after`` further rounds of unrefuted suspicion
-    confirm it dead.  Both must exceed the epidemic propagation age
-    (~ceil(log2 n) rounds at fanout 1) or a live-but-lagging node's
-    suspicion can harden before its refuting beat arrives.
-    """
-
-    suspect_after: int = 4
-    confirm_after: int = 4
 
 
 class MembershipView:

@@ -8,7 +8,7 @@ sending Fix values in the packed wire format (paper section 4.2.1):
 * on connect, nodes run one digest/delta anti-entropy round - content
   keys *and per-handle wire sizes* - into a passive
   :class:`~repro.dist.objectview.ObjectView`, and can re-run it any
-  time with :meth:`FixpointNode.gossip_with` (the GOSSIP frames below);
+  time with :meth:`FixpointNode.gossip_with` (the gossip frames below);
 * ``delegate_async(encode)`` ships the Encode's minimum repository as
   one bundle (handles are self-describing - no scheduler round trip, no
   extra metadata), tagged with the sender's identity so the remote node
@@ -52,29 +52,35 @@ concurrency.  A channel may carry a per-direction ``latency``; it is
 paid on the *serving* thread, never the dispatching one, so in-flight
 delegations overlap their wire time (pipelined, still ordered).
 
-Request frame::
+**Frames.**  Every frame - delegation and gossip alike - goes through
+one codec (``_pack_frame`` / ``_unpack_frame``, driven by the
+``_FRAMES`` table): a tag byte, the sender's name for kinds that need
+it, the 16-byte span context, then the message's fields::
 
-    [u16 sender length][sender utf-8][16-byte span context]
-    [32-byte encode handle][bundle]
+    tag   kind         sender  fields
+    0x02  request      yes     [32-byte encode handle][bundle]
+    0x00  reply        no      [32-byte result handle][bundle]
+    0x01  error reply  no      [u16 type length][type utf-8]
+                               [u32 message length][message utf-8]
+    0x10  gossip SYN   yes     [digest][members]
+    0x11  gossip ACK   no      [digest][delta][members]
+    0x12  gossip PUSH  yes     [delta]
 
-Response frame::
+The sender is ``[u16 length][utf-8]``; a bundle runs to the end of its
+frame.  A frame of the wrong kind, or one that fails to parse, raises
+:class:`NetworkError`.
 
-    [16-byte span context][u8 status=0]
-                          [32-byte result handle][bundle]   (ok)
-    [16-byte span context][u8 status=1]
-                          [u16 type length][type utf-8]
-                          [u32 message length][message utf-8]  (error)
+The span context is how tracing crosses the wire: the request carries
+the caller's *dispatch* span, the peer's *serve* span parents to it,
+and the reply (ok or error) carries the serve span back so the caller's
+*absorb* span parents to that - one stitched dispatch -> serve ->
+absorb chain per delegation, across nodes, reassembled by
+:func:`repro.obs.stitch`.  Gossip does the same: the SYN/PUSH ship the
+caller's *round* span, the ACK the peer's *serve* span.  An untraced
+node ships :data:`~repro.obs.NULL_CONTEXT` and its peers degrade to
+local roots.
 
-The 16-byte :class:`~repro.obs.SpanContext` is how tracing crosses the
-wire: the request carries the caller's *dispatch* span, the peer's
-*serve* span parents to it, and the reply (ok or error) carries the
-serve span back so the caller's *absorb* span parents to that - one
-stitched dispatch -> serve -> absorb chain per delegation, across
-nodes, reassembled by :func:`repro.obs.stitch`.  An untraced node
-ships :data:`~repro.obs.NULL_CONTEXT` and its peers degrade to local
-roots.
-
-The error frame is what carries a peer-side evaluation failure across
+The error reply is what carries a peer-side evaluation failure across
 the wire: the serve runs on the peer's thread, so raising through
 Python would strand the exception there - instead the caller's future
 fails with :class:`RemoteEvalError`, and the caller's optimistic view
@@ -82,30 +88,21 @@ advance for the shipped data is rolled back
 (:meth:`~repro.dist.objectview.ObjectView.forget`), so the next attempt
 re-ships instead of stranding on a false belief.
 
-The ok-response bundle carries only the result data the server does
-*not* believe the caller already holds - echoing back what the caller
-just shipped would double the round trip for nothing.
+Both directions apply one shipping rule: a bundle carries only the
+data the receiver is not believed to hold - so a reply never echoes
+back what the caller just shipped.
 
-**Gossip frames.**  Inventory knowledge is no longer connect-time-only:
+**Gossip.**  Inventory knowledge is no longer connect-time-only:
 :meth:`FixpointNode.gossip_with` runs one push-pull anti-entropy round
-over a live channel, sequenced like every other frame::
-
-    [u8 0x10][u16 sender length][sender utf-8][ctx][digest][members]  (SYN)
-    [u8 0x11][ctx][digest][delta][members]                            (ACK)
-    [u8 0x12][u16 sender length][sender utf-8][ctx][delta]            (PUSH)
-
-(``ctx`` is the same 16-byte span context delegation frames carry: the
-SYN/PUSH ship the caller's *round* span, the ACK the peer's *serve*
-span, so a whole anti-entropy round is one stitched trace too.)
-
+(SYN, ACK, PUSH) over a live channel, sequenced like every other frame.
 Each frame carries one message of the sans-I/O handshake core in
 :mod:`repro.dist.gossip` - the steps
 :class:`~repro.dist.gossip.GossipCoordinator` drives in-process, and
 whose docstring holds the ordering rules.  This driver keeps only the
-net-specific parts (frame header, field codecs, channel sequencing,
-spans, metrics) and its policy: both ends restamp their own holdings
-and beat once per round.  A frame that fails to parse raises
-:class:`NetworkError`, a failed handshake like any other.
+net-specific parts (frames, channel sequencing, spans, metrics) and its
+policy: both ends restamp their own holdings and beat once per round.
+A gossip frame that fails to parse is a failed handshake like any
+other.
 
 Entries keep their origin stamps, so beliefs spread *transitively*:
 after beta gossips with gamma and alpha gossips with beta, alpha knows
@@ -143,7 +140,8 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.sync import (
     TrackedCondition,
@@ -151,7 +149,7 @@ from ..analysis.sync import (
     TrackedRLock,
     note_blocking,
 )
-from ..core.errors import FixError, MissingObjectError
+from ..core.errors import FixError, HandleError, MissingObjectError
 from ..core.handle import HANDLE_BYTES, Handle
 from ..core.minrepo import Footprint, transitive_footprint
 from ..core.serialize import decode_bundle, encode_bundle
@@ -182,25 +180,8 @@ from ..obs import NULL_CONTEXT, Obs, SpanContext
 from .jobs import Job
 from .runtime import Fixpoint
 
-_SENDER_LEN = struct.Struct("<H")
-_ERR_TYPE_LEN = struct.Struct("<H")
-_ERR_MSG_LEN = struct.Struct("<I")
-
-_STATUS_OK = b"\x00"
-_STATUS_ERR = b"\x01"
-
-#: Gossip frame layout per handshake-core message: tag byte, whether
-#: the header names the sender, and the message's fields in wire order.
-_GOSSIP_FRAMES = {
-    Syn: (b"\x10", True, ("digest", "members")),
-    Ack: (b"\x11", False, ("digest", "delta", "members")),
-    Push: (b"\x12", True, ("delta",)),
-}
-_GOSSIP_CODECS = {
-    "digest": (pack_digest, unpack_digest),
-    "delta": (pack_delta, unpack_delta),
-    "members": (pack_members, unpack_members),
-}
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 #: Serializes topology mutation (channel registration on *both*
 #: endpoints).  One process-wide lock, not per-node: connect touches two
@@ -235,67 +216,112 @@ class RemoteEvalError(NetworkError):
         self.remote_message = message
 
 
-def _pack_error(exc: BaseException) -> bytes:
-    """Serialize an exception into the error-response frame body."""
-    error_type = type(exc).__name__.encode("utf-8")
-    message = str(exc).encode("utf-8")
-    return (
-        _ERR_TYPE_LEN.pack(len(error_type))
-        + error_type
-        + _ERR_MSG_LEN.pack(len(message))
-        + message
-    )
+class Request(NamedTuple):
+    """Delegation request: evaluate ``encode`` once ``bundle`` landed."""
+
+    encode: Handle
+    bundle: bytes
 
 
-def _unpack_error(body: bytes) -> Tuple[str, str]:
-    """Parse an error-response frame body into (type name, message)."""
-    (type_len,) = _ERR_TYPE_LEN.unpack_from(body, 0)
-    offset = _ERR_TYPE_LEN.size
-    error_type = body[offset : offset + type_len].decode("utf-8")
-    offset += type_len
-    (msg_len,) = _ERR_MSG_LEN.unpack_from(body, offset)
-    offset += _ERR_MSG_LEN.size
-    message = body[offset : offset + msg_len].decode("utf-8")
-    return error_type, message
+class Reply(NamedTuple):
+    """Delegation reply: the result and the data needed to read it."""
+
+    result: Handle
+    bundle: bytes
 
 
-def _pack_gossip(message, ctx: SpanContext, sender: str) -> bytes:
+class ErrorReply(NamedTuple):
+    """A peer-side evaluation failure (see :class:`RemoteEvalError`)."""
+
+    error_type: str
+    message: str
+
+
+def _pack_text(length: struct.Struct, text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return length.pack(len(raw)) + raw
+
+
+def _unpack_text(
+    length: struct.Struct, wire: bytes, offset: int
+) -> Tuple[str, int]:
+    (size,) = length.unpack_from(wire, offset)
+    start = offset + length.size
+    end = start + size
+    if end > len(wire):
+        raise ValueError(f"{size}-byte text at offset {offset} overruns the frame")
+    return wire[start:end].decode("utf-8"), end
+
+
+def _unpack_handle(wire: bytes, offset: int) -> Tuple[Handle, int]:
+    end = offset + HANDLE_BYTES
+    return Handle.unpack(wire[offset:end]), end
+
+
+#: Field codecs by field name: ``(pack(value) -> bytes,
+#: unpack(wire, offset) -> (value, next offset))``.  A bundle is the
+#: frame's tail; its own codec (:func:`decode_bundle`) runs later.
+_CODECS = {
+    "encode": (Handle.pack, _unpack_handle),
+    "result": (Handle.pack, _unpack_handle),
+    "bundle": (bytes, lambda wire, offset: (wire[offset:], len(wire))),
+    "error_type": (partial(_pack_text, _U16), partial(_unpack_text, _U16)),
+    "message": (partial(_pack_text, _U32), partial(_unpack_text, _U32)),
+    "digest": (pack_digest, unpack_digest),
+    "delta": (pack_delta, unpack_delta),
+    "members": (pack_members, unpack_members),
+}
+
+#: Every frame kind: tag byte, label, whether the header names the
+#: sender, and the message's fields in wire order.  Tags 0x10-0x12 are
+#: gossip; the delegation tags stay clear of them.
+_FRAMES = {
+    Request: (b"\x02", "request", True, ("encode", "bundle")),
+    Reply: (b"\x00", "reply", False, ("result", "bundle")),
+    ErrorReply: (b"\x01", "error reply", False, ("error_type", "message")),
+    Syn: (b"\x10", "gossip SYN", True, ("digest", "members")),
+    Ack: (b"\x11", "gossip ACK", False, ("digest", "delta", "members")),
+    Push: (b"\x12", "gossip PUSH", True, ("delta",)),
+}
+_KIND_BY_TAG = {entry[0]: kind for kind, entry in _FRAMES.items()}
+
+
+def _pack_frame(message, ctx: SpanContext, sender: str) -> bytes:
     """``[tag]([u16 sender len][sender])[ctx]`` then the message's
-    fields through the gossip codecs."""
-    tag, named, fields = _GOSSIP_FRAMES[type(message)]
+    fields through their codecs."""
+    tag, _label, named, fields = _FRAMES[type(message)]
     parts = [tag]
     if named:
-        raw = sender.encode("utf-8")
-        parts += [_SENDER_LEN.pack(len(raw)), raw]
+        parts.append(_pack_text(_U16, sender))
     parts.append(ctx.pack())
-    parts += [_GOSSIP_CODECS[f][0](getattr(message, f)) for f in fields]
+    parts += [_CODECS[f][0](getattr(message, f)) for f in fields]
     return b"".join(parts)
 
 
-def _unpack_gossip(receiver: str, wire: bytes, kind: type):
-    """Parse a gossip frame that must carry a ``kind`` message; returns
-    (message, sender, span context).  A wrong tag or a frame that fails
-    to parse raises :class:`NetworkError`, like any other bad wire."""
-    tag, named, fields = _GOSSIP_FRAMES[kind]
-    label = kind.__name__.lower()
-    if wire[:1] != tag:
-        raise NetworkError(f"{receiver}: bad gossip {label} tag {wire[:1]!r}")
+def _unpack_frame(receiver: str, wire: bytes, *kinds: type):
+    """Parse a frame that must carry one of ``kinds``; returns
+    (message, sender, span context).  A frame of another kind, or one
+    that fails to parse, raises :class:`NetworkError`."""
+    kind = _KIND_BY_TAG.get(wire[:1])
+    if kind not in kinds:
+        expected = " or ".join(_FRAMES[k][1] for k in kinds)
+        raise NetworkError(
+            f"{receiver}: expected a {expected} frame, got tag {wire[:1]!r}"
+        )
+    _tag, label, named, fields = _FRAMES[kind]
     try:
         offset, sender = 1, ""
         if named:
-            (length,) = _SENDER_LEN.unpack_from(wire, offset)
-            offset += _SENDER_LEN.size
-            sender = wire[offset : offset + length].decode("utf-8")
-            offset += length
+            sender, offset = _unpack_text(_U16, wire, offset)
         ctx, offset = SpanContext.unpack(wire, offset)
         values = []
         for f in fields:
-            value, offset = _GOSSIP_CODECS[f][1](wire, offset)
+            value, offset = _CODECS[f][1](wire, offset)
             values.append(value)
-    except (GossipError, MembershipError, struct.error, UnicodeDecodeError) as exc:
-        raise NetworkError(
-            f"{receiver}: malformed gossip {label} frame: {exc}"
-        ) from exc
+    except (
+        GossipError, HandleError, MembershipError, struct.error, ValueError
+    ) as exc:
+        raise NetworkError(f"{receiver}: malformed {label} frame: {exc}") from exc
     return kind(*values), sender, ctx
 
 
@@ -982,7 +1008,7 @@ class FixpointNode:
         self.membership.beat()
         span = self.obs.tracer.start("gossip.round", peer=peer_name)
         hello = syn(self.view, self.membership)
-        wire, seq = channel.send(self, _pack_gossip(hello, span.context, self.name))
+        wire, seq = channel.send(self, _pack_frame(hello, span.context, self.name))
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(self, seq):
@@ -990,10 +1016,10 @@ class FixpointNode:
         with self._m_transit.time(peer=peer_name):
             channel.transit()
         with channel.arrival(peer, ack_seq):
-            ack, _, _ = _unpack_gossip(self.name, ack_wire, Ack)
+            ack, _, _ = _unpack_frame(self.name, ack_wire, Ack)
             push = close(self.view, self.membership, ack)
         push_wire, push_seq = channel.send(
-            self, _pack_gossip(push, span.context, self.name)
+            self, _pack_frame(push, span.context, self.name)
         )
         with self._m_transit.time(peer=peer_name):
             channel.transit()
@@ -1018,7 +1044,7 @@ class FixpointNode:
         Runs inside the SYN's delivery window on the gossiping thread;
         sends (and sequences) the ACK on the way out.
         """
-        hello, sender, ctx = _unpack_gossip(self.name, wire, Syn)
+        hello, sender, ctx = _unpack_frame(self.name, wire, Syn)
         self._refresh_self()
         # Serving a round is as alive as initiating one.
         self.membership.beat()
@@ -1028,11 +1054,11 @@ class FixpointNode:
         with self._lock:
             self.gossip_rounds += 1
         self._m_gossip_rounds.inc(peer=sender, role="server")
-        return self._send_back(sender, _pack_gossip(ack, span.context, self.name))
+        return self._send_back(sender, ack, span.context)
 
     def _absorb_gossip_push(self, wire: bytes) -> int:
         """Peer side of the closing PUSH: merge the caller's delta."""
-        push, sender, ctx = _unpack_gossip(self.name, wire, Push)
+        push, sender, ctx = _unpack_frame(self.name, wire, Push)
         with self.obs.tracer.start(
             "gossip.absorb", parent=ctx, peer=sender
         ) as span:
@@ -1131,27 +1157,14 @@ class FixpointNode:
         with self._lock:
             if fp is None:
                 fp = transitive_footprint(self.repo, encode)
-            to_ship: List[Handle] = []
-            for handle in self.repo.handles():
-                key = handle.content_key()
-                if key in fp.data and not self.view.knows(key, peer_name):
-                    to_ship.append(handle)
-            sender = self.name.encode("utf-8")
-            request = (
-                _SENDER_LEN.pack(len(sender))
-                + sender
-                + span.context.pack()
-                + encode.pack()
-                + encode_bundle(self.repo, to_ship)
+            to_ship = self._ship_set(fp, peer_name)
+            request = Request(encode, encode_bundle(self.repo, to_ship))
+            wire, request_seq = channel.send(
+                self, _pack_frame(request, span.context, self.name)
             )
-            wire, request_seq = channel.send(self, request)
             self.delegations_sent += 1
             self._m_sent.inc(peer=peer_name)
-            shipped: List[bytes] = []
-            for handle in to_ship:
-                key = handle.content_key()
-                self.view.learn(key, peer_name, handle.byte_size())
-                shipped.append(key)
+            shipped = self._believe(peer_name, to_ship)
             self.outstanding[peer_name] = (
                 self.outstanding.get(peer_name, 0) + 1
             )
@@ -1277,29 +1290,19 @@ class FixpointNode:
         frame carries it too: a failed delegation still traces end to
         end.
         """
-        ctx, offset = SpanContext.unpack(wire_back, 0)
-        status, body = wire_back[offset : offset + 1], wire_back[offset + 1 :]
+        reply, _, ctx = _unpack_frame(self.name, wire_back, Reply, ErrorReply)
         span = self.obs.tracer.start(
             "delegate.absorb", parent=ctx, peer=peer_name
         )
-        if status == _STATUS_ERR:
-            error_type, message = _unpack_error(body)
-            span.finish(status="error", error=f"{error_type}: {message}")
-            raise RemoteEvalError(peer_name, error_type, message)
-        if status != _STATUS_OK:
-            span.finish(status="error", error=f"bad status byte {status!r}")
-            raise NetworkError(
-                f"{self.name}: bad response status byte {status!r}"
-            )
-        result = Handle.unpack(body[:HANDLE_BYTES])
-        absorbed = decode_bundle(self.repo, body[HANDLE_BYTES:])
-        for handle in absorbed:
-            self.view.learn(handle.content_key(), peer_name, handle.byte_size())
-        self.view.learn(result.content_key(), peer_name, result.byte_size())
-        self.repo.put_result(encode, result)
+        if isinstance(reply, ErrorReply):
+            span.finish(status="error", error=f"{reply.error_type}: {reply.message}")
+            raise RemoteEvalError(peer_name, reply.error_type, reply.message)
+        absorbed = decode_bundle(self.repo, reply.bundle)
+        self._believe(peer_name, absorbed + [reply.result])
+        self.repo.put_result(encode, reply.result)
         span.set(bytes=len(wire_back), handles_absorbed=len(absorbed))
         span.finish()
-        return result
+        return reply.result
 
     def _serve(
         self, wire: bytes, arrival: Optional[_Arrival] = None
@@ -1339,32 +1342,15 @@ class FixpointNode:
             self._m_served.inc(peer=sender)
             result = self.runtime.eval(encode)
             # Reply with the result and the data needed to read it,
-            # filtered through the view of the caller ("ship only what
-            # the peer is not known to hold" - the same rule the
-            # dispatcher applies).
+            # filtered through the view of the caller.
             with self._lock:
-                result_fp = transitive_footprint(self.repo, result)
-                to_ship = [
-                    handle
-                    for handle in self.repo.handles()
-                    if handle.content_key() in result_fp.data
-                    and not self.view.knows(handle.content_key(), sender)
-                ]
-                for handle in to_ship:
-                    self.view.learn(
-                        handle.content_key(), sender, handle.byte_size()
-                    )
-                self.view.learn(
-                    result.content_key(), sender, result.byte_size()
+                to_ship = self._ship_set(
+                    transitive_footprint(self.repo, result), sender
                 )
+                self._believe(sender, to_ship + [result])
                 span.set(handles_shipped=len(to_ship)).finish()
-                payload = (
-                    span.context.pack()
-                    + _STATUS_OK
-                    + result.pack()
-                    + encode_bundle(self.repo, to_ship)
-                )
-                return self._send_back(sender, payload)
+                reply = Reply(result, encode_bundle(self.repo, to_ship))
+                return self._send_back(sender, reply, span.context)
         except BaseException as exc:  # noqa: BLE001 - crosses the wire
             if sender is None:
                 raise  # cannot even address a reply: a transport failure
@@ -1376,34 +1362,51 @@ class FixpointNode:
                 span.finish(
                     status="error", error=f"{type(exc).__name__}: {exc}"
                 )
+            error = ErrorReply(type(exc).__name__, str(exc))
             reply_ctx = span.context if span is not None else NULL_CONTEXT
-            return self._send_back(
-                sender, reply_ctx.pack() + _STATUS_ERR + _pack_error(exc)
-            )
+            return self._send_back(sender, error, reply_ctx)
 
     def _absorb_request(
         self, wire: bytes
     ) -> Tuple[str, Handle, SpanContext]:
         """Decode one request frame into the repository (wire order)."""
-        (sender_len,) = _SENDER_LEN.unpack_from(wire, 0)
-        offset = _SENDER_LEN.size
-        sender = wire[offset : offset + sender_len].decode("utf-8")
-        offset += sender_len
-        ctx, offset = SpanContext.unpack(wire, offset)
-        encode = Handle.unpack(wire[offset : offset + HANDLE_BYTES])
-        received = decode_bundle(self.repo, wire[offset + HANDLE_BYTES :])
+        request, sender, ctx = _unpack_frame(self.name, wire, Request)
+        received = decode_bundle(self.repo, request.bundle)
         # The sender evidently holds everything it shipped: the server's
         # view of the caller advances on receive, mirroring the caller's
         # advance on send.
-        for handle in received:
-            self.view.learn(handle.content_key(), sender, handle.byte_size())
-        return sender, encode, ctx
+        self._believe(sender, received)
+        return sender, request.encode, ctx
 
-    def _send_back(self, sender: str, payload: bytes) -> Tuple[bytes, int]:
+    def _send_back(
+        self, sender: str, message, ctx: SpanContext
+    ) -> Tuple[bytes, int]:
+        """Frame and send a reply (or gossip ACK) to ``sender``."""
         channel = self.peers.get(sender)
         if channel is None:
             raise NetworkError(f"{self.name}: no channel back to {sender!r}")
-        return channel.send(self, payload)
+        return channel.send(self, _pack_frame(message, ctx, self.name))
+
+    def _ship_set(self, fp: Footprint, peer: str) -> List[Handle]:
+        """The held data in ``fp`` that ``peer`` is not believed to hold:
+        the one "ship only what the peer lacks" rule, for requests and
+        replies alike.  Callers hold this node's lock."""
+        to_ship: List[Handle] = []
+        for handle in self.repo.handles():
+            key = handle.content_key()
+            if key in fp.data and not self.view.knows(key, peer):
+                to_ship.append(handle)
+        return to_ship
+
+    def _believe(self, peer: str, handles: List[Handle]) -> List[bytes]:
+        """Record that ``peer`` holds ``handles`` (shipped to it, or
+        received from it); returns their content keys."""
+        keys: List[bytes] = []
+        for handle in handles:
+            key = handle.content_key()
+            self.view.learn(key, peer, handle.byte_size())
+            keys.append(key)
+        return keys
 
     # ------------------------------------------------------------------
     # Placement: the shared cost model decides where to run
@@ -1509,12 +1512,14 @@ class FixpointNode:
         return self._quote_peers(fp, self.runtime.holdings(), candidates)
 
     def delegate_best(self, encode: Handle) -> Handle:
-        """Delegate to the peer the shared cost model prices cheapest."""
-        return self.delegate(self.quote_best(encode).candidate, encode)
+        """Delegate to the peer the shared cost model prices cheapest
+        (a one-encode :meth:`scatter`, waited for)."""
+        return self.scatter([encode])[0].result()
 
     def eval_anywhere(self, encode: Handle) -> Handle:
         """Evaluate locally when that is cheapest; otherwise delegate
-        through the shared cost model (:meth:`delegate_best`).
+        to the peer the shared cost model prices cheapest (a one-encode
+        :meth:`eval_many`).
 
         A complete local footprint prices at zero bytes moved, and no
         remote quote can be cheaper than zero - so "prefer local when
@@ -1522,16 +1527,7 @@ class FixpointNode:
         delegate to the cheapest peer otherwise.  (A node cannot *pull*
         data, so an incomplete local footprint is not a candidate.)
         """
-        fp = transitive_footprint(self.repo, encode)
-        local = self.runtime.holdings()
-        if fp.data <= local.keys():
-            return self.runtime.eval(encode)
-        candidates = self._candidates()
-        if not candidates:
-            raise MissingObjectError(encode, self.name)
-        return self.delegate(
-            self._quote_peers(fp, local, candidates).candidate, encode
-        )
+        return self.eval_many([encode])[0]
 
     # ------------------------------------------------------------------
     # Fan-out: many delegations in flight at once

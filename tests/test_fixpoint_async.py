@@ -390,6 +390,134 @@ class TestErrorFrames:
             future.result(10)
 
 
+#: A codelet whose result is too big to ride inside its handle, so the
+#: reply's bundle carries it.
+QUAD_SOURCE = (
+    "def _fix_apply(fix, input):\n"
+    "    entries = fix.read_tree(input)\n"
+    "    return fix.create_blob(fix.read_blob(entries[2]) * 4)\n"
+)
+
+
+class TestDelegationFrames:
+    """Request, reply and error reply go through the same frame codec
+    as gossip: a tag, the sender (requests only), the span context,
+    then the message's fields."""
+
+    #: The wire format, pinned: (tag, length, sha256) of the request,
+    #: reply, failing request and error reply of two delegations
+    #: between fresh nodes.  The stdlib codelets every node compiles at
+    #: boot are part of the inventory, so a stdlib edit moves these too.
+    PINNED_FRAMES = [
+        ("02", 446, "ea314f5e1ed9fd6bea4c77ab5ffa3670fbbdf76104d92149beb267ed8368b9d0"),
+        ("00", 253, "e101ac94abf1832d5103b6bde5690555cb45a84b5de8b99f0b5bcba17db658db"),
+        ("02", 306, "b97b03393df42a2d0f9d29ffe9602182a1222010494961d599668b32ba10a848"),
+        ("01", 73, "d7957bc0131308ca51a35e87b587720ef2f7cede68d8512e1347272a9953b365"),
+    ]
+
+    def _frames(self, monkeypatch):
+        """Two delegations (one ok, one failing remotely) and one
+        gossip round between fresh nodes; returns the nodes, the two
+        encodes and the seven frames in send order."""
+        from repro.fixpoint.net import Channel
+
+        alpha, beta = FixpointNode("alpha"), FixpointNode("beta")
+        alpha.connect(beta)
+        quad = alpha.runtime.compile(QUAD_SOURCE, "quad")
+        boom = alpha.runtime.compile(BOOM_SOURCE, "boom")
+        ok = make_application(
+            alpha.repo, quad, [alpha.repo.put_blob(b"wire" * 10)]
+        ).wrap_strict()
+        bad = make_application(
+            alpha.repo, boom, [alpha.repo.put_blob(int_blob(1))]
+        ).wrap_strict()
+        frames = []
+        send = Channel.send
+
+        def recording_send(channel, sender, payload):
+            frames.append(bytes(payload))
+            return send(channel, sender, payload)
+
+        monkeypatch.setattr(Channel, "send", recording_send)
+        result = alpha.delegate("beta", ok)
+        assert alpha.repo.get_blob(result).data == b"wire" * 40
+        with pytest.raises(RemoteEvalError):
+            alpha.delegate("beta", bad)
+        alpha.gossip_with("beta")
+        monkeypatch.setattr(Channel, "send", send)
+        return alpha, beta, ok, bad, frames
+
+    def test_frames_match_the_pinned_wire_format(self, monkeypatch):
+        import hashlib
+
+        _alpha, _beta, _ok, _bad, frames = self._frames(monkeypatch)
+        assert [
+            (f[:1].hex(), len(f), hashlib.sha256(f).hexdigest())
+            for f in frames[:4]
+        ] == self.PINNED_FRAMES
+
+    @pytest.mark.parametrize("kind", ["request", "reply", "error reply"])
+    def test_truncated_frames_are_refused(self, monkeypatch, kind):
+        """Every strict prefix is refused with a NetworkError - or, for
+        a cut inside the bundle that ends the frame, by the bundle
+        codec's SerializationError - and never as a bare struct.error,
+        HandleError or UnicodeDecodeError; the receiver's view does not
+        change."""
+        from repro.core.errors import SerializationError
+
+        alpha, beta, ok, bad, frames = self._frames(monkeypatch)
+        request, reply, _, error = frames[:4]
+        # Where the bundle starts: after [tag]([u16 len][sender])[ctx]
+        # and the 32-byte handle.
+        frame, receiver, parse, bundle_at = {
+            "request": (
+                request, beta, beta._absorb_request, 1 + 2 + 5 + 16 + 32
+            ),
+            "reply": (
+                reply,
+                alpha,
+                lambda wire: alpha._absorb_reply("beta", ok, wire),
+                1 + 16 + 32,
+            ),
+            "error reply": (
+                error,
+                alpha,
+                lambda wire: alpha._absorb_reply("beta", bad, wire),
+                len(error),
+            ),
+        }[kind]
+        digest = receiver.view.digest()
+        for cut in range(len(frame)):
+            with pytest.raises((NetworkError, SerializationError)) as excinfo:
+                parse(frame[:cut])
+            refused = type(excinfo.value)
+            assert refused is NetworkError or (
+                refused is SerializationError and cut >= bundle_at
+            ), (cut, excinfo.value)
+        assert receiver.view.digest() == digest
+
+    def test_a_frame_of_the_wrong_kind_is_refused(self, monkeypatch):
+        alpha, beta, ok, _bad, frames = self._frames(monkeypatch)
+        request, reply, _, error, syn, ack, push = frames
+        alpha_digest, beta_digest = alpha.view.digest(), beta.view.digest()
+        for wire in (ack, reply, error, syn):
+            with pytest.raises(NetworkError, match="expected a request"):
+                beta._absorb_request(wire)
+        for wire in (request, ack, syn, push):
+            with pytest.raises(
+                NetworkError, match="expected a reply or error reply"
+            ):
+                alpha._absorb_reply("beta", ok, wire)
+        with pytest.raises(NetworkError, match="expected a gossip SYN"):
+            beta._serve_gossip_syn(request)
+        with pytest.raises(NetworkError, match="expected a gossip PUSH"):
+            beta._absorb_gossip_push(reply)
+        assert (alpha.view.digest(), beta.view.digest()) == (
+            alpha_digest,
+            beta_digest,
+        )
+
+
 class TestViewRollback:
     """Regression for the over-advance bug: ``delegate`` used to learn
     ``to_ship`` before the peer replied, so a failure mid-serve left the

@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 from repro.core.data import Blob, Tree
 from repro.core.errors import FixError, HandleError, SerializationError
 from repro.core.eval import Evaluator
-from repro.core.handle import HANDLE_BYTES, LITERAL_MAX, Handle, blob_digest
-from repro.core.minrepo import footprint
+from repro.core.handle import (
+    HANDLE_BYTES,
+    LITERAL_MAX,
+    Handle,
+    ThunkStyle,
+    blob_digest,
+)
+from repro.core.minrepo import Footprint, footprint, transitive_footprint
 from repro.core.serialize import decode_bundle, decode_frame, encode_bundle
 from repro.core.storage import Repository
 from repro.core.thunks import (
@@ -165,6 +171,124 @@ class TestFootprintInvariants:
         assert footprint(repo, closed_tree).data_bytes < footprint(
             repo, open_tree
         ).data_bytes
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_walk_matches_the_two_pass_reference(self, data):
+        """``footprint`` matches the reference on every field;
+        ``transitive_footprint`` on ``data`` and ``pending``, and its
+        ``data_bytes`` counts every referenced datum by handle size,
+        like ``footprint``'s."""
+        repo, pool = data.draw(_handle_graphs())
+        for root in pool:
+            assert footprint(repo, root) == _reference_footprint(repo, root)
+            got = transitive_footprint(repo, root)
+            want = _reference_transitive_footprint(repo, root)
+            assert (got.data, got.pending) == (want.data, want.pending)
+            assert got.data_bytes == _footprint_bytes(got.data, pool)
+
+
+def _footprint_bytes(keys, pool):
+    sizes = {h.content_key(): h.byte_size() for h in pool if h.is_data}
+    return sum(sizes[key] for key in keys)
+
+
+@st.composite
+def _handle_graphs(draw):
+    """A repository plus a pool of handles over it: blobs (literal or
+    not), trees, data that is referenced but absent, refs, the three
+    thunk styles, and strict/shallow encodes, nested at random."""
+    repo = Repository()
+    pool = [repo.put_blob(draw(st.binary(min_size=31, max_size=40)))]
+
+    def pick(handles):
+        return handles[draw(st.integers(0, len(handles) - 1))]
+
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from([
+            "blob", "tree", "absent", "ref", "identification",
+            "application", "selection", "strict", "shallow",
+        ]))
+        data = [h for h in pool if h.is_data]
+        trees = [h for h in data if h.is_tree and not h.is_ref]
+        thunks = [h for h in pool if h.is_thunk and not h.is_encode]
+        if kind == "blob":
+            pool.append(repo.put_blob(draw(st.binary(max_size=40))))
+        elif kind == "tree":
+            size = draw(st.integers(0, 4))
+            pool.append(repo.put_tree([pick(pool) for _ in range(size)]))
+        elif kind == "absent":
+            payload = draw(st.binary(min_size=31, max_size=40))
+            make = Handle.tree if draw(st.booleans()) else Handle.blob
+            pool.append(make(blob_digest(payload), len(payload)))
+        elif kind == "ref":
+            pool.append(pick(data).as_ref())
+        elif kind == "identification":
+            pool.append(pick(data).as_object().make_identification())
+        elif kind in ("application", "selection") and trees:
+            tree = pick(trees)
+            pool.append(
+                tree.make_application() if kind == "application"
+                else tree.make_selection()
+            )
+        elif kind in ("strict", "shallow") and thunks:
+            thunk = pick(thunks)
+            pool.append(
+                thunk.wrap_strict() if kind == "strict" else thunk.wrap_shallow()
+            )
+    return repo, pool
+
+
+def _reference_footprint(repo, handle):
+    """``footprint`` as it was before the single-walk rewrite."""
+    seen, data, pending = set(), set(), set()
+    total = 0
+
+    def visit(h, subject):
+        nonlocal total
+        if h.is_encode:
+            pending.add(h)
+            if subject:
+                visit(h.unwrap_encode(), subject=True)
+            return
+        if h.thunk_style is not ThunkStyle.NONE:
+            if subject:
+                visit(h.definition(), subject=False)
+            return
+        if h.is_ref or h.is_literal:
+            return
+        key = h.content_key()
+        if key in seen:
+            return
+        seen.add(key)
+        data.add(key)
+        total += h.byte_size()
+        if h.is_tree and repo.contains(h):
+            for child in repo.get_tree(h):
+                visit(child, subject=False)
+
+    visit(handle, subject=True)
+    return Footprint(frozenset(data), frozenset(pending), total)
+
+
+def _reference_transitive_footprint(repo, handle):
+    """``transitive_footprint`` as it was: a queue of ``footprint``
+    calls, then a repository scan for the resident byte total."""
+    data, pending = set(), set()
+    total = 0
+    queue = [handle]
+    while queue:
+        fp = _reference_footprint(repo, queue.pop())
+        data |= fp.data
+        for encode in fp.pending:
+            if encode not in pending:
+                pending.add(encode)
+                queue.append(encode)
+    for resident in repo.handles():
+        if resident.content_key() in data:
+            total += resident.byte_size()
+    return Footprint(frozenset(data), frozenset(pending), total)
 
 
 # ----------------------------------------------------------------------
